@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """API lint: keep first-party code on the blessed run-API surface.
 
-Two rules, enforced over ``src/``, ``examples/``, and ``benchmarks/``
-(tests are exempt so the compatibility shims themselves stay covered):
+Three rules, enforced over ``src/``, ``examples/``, ``benchmarks/`` and
+``scripts/`` (tests are exempt: they construct simulations directly to
+cover the wiring):
 
 1. **No direct ``StormSimulation(...)`` construction** outside the
    runner/builder modules — new code goes through ``SimulationBuilder``.
@@ -10,15 +11,8 @@ Two rules, enforced over ``src/``, ``examples/``, and ``benchmarks/``
    ``Series`` fields (``series.t`` / ``series.y``) instead of
    ``t, y = result.throughput_series()``.
 3. **No reaching into the kernel's event queue** — ``._queue`` is the
-   environment's private scheduler state behind the pluggable
-   :class:`repro.des.queues.EventQueue` API; callers use
-   ``Environment.scheduler`` / ``Environment.new_queue()`` or the
-   public queue protocol instead.
-4. **No new ``Transport.send`` / ``Transport.send_batch`` callers** —
-   both are deprecated shims that emit ``DeprecationWarning``; the one
-   delivery entry point (and the one chaos-fault seam) is
-   ``Transport.deliver``, which takes the whole emission's
-   ``(dst_task, tuple)`` list.
+   environment's private state; callers use ``Environment.schedule`` /
+   ``peek`` / ``queue_depth`` instead.
 
 Exit status is non-zero when any violation is found, so CI can gate on
 it.  Run from the repository root::
@@ -35,7 +29,7 @@ from typing import Iterator, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: directories scanned (tests/ intentionally absent: shims need coverage)
+#: directories scanned (tests/ intentionally absent, see above)
 SCAN_DIRS = ("src", "examples", "benchmarks", "scripts")
 
 #: the only modules allowed to construct StormSimulation directly
@@ -47,27 +41,13 @@ CONSTRUCTION_ALLOWLIST = {
 }
 
 #: the only modules allowed to touch the environment's private queue
-#: (the owner, and the frozen legacy twin that predates the queue API)
 QUEUE_ACCESS_ALLOWLIST = {
     Path("src/repro/des/environment.py"),
-    Path("src/repro/bench/legacy_kernel.py"),
-    Path("scripts/check_api.py"),
-}
-
-#: the module that defines the deprecated transport shims
-TRANSPORT_SEND_ALLOWLIST = {
-    Path("src/repro/storm/executor.py"),
     Path("scripts/check_api.py"),
 }
 
 CONSTRUCT_RE = re.compile(r"\bStormSimulation\s*\(")
 QUEUE_RE = re.compile(r"\._queue\b")
-#: ``transport.send(...)`` / any ``.send_batch(...)`` call; a bare
-#: ``.send(`` alone would also hit generator ``.send()``, so the send
-#: half is anchored on a transport-ish receiver.
-TRANSPORT_SEND_RE = re.compile(
-    r"(?:\btransport\.send|\.transport\.send|\.send_batch)\s*\("
-)
 #: ``a, b = ....throughput_series()`` / ``latency_series()`` (raw unpack)
 UNPACK_RE = re.compile(
     r"^\s*[A-Za-z_][\w\[\]\. ]*,\s*[A-Za-z_][\w\[\]\. ]*"
@@ -109,17 +89,8 @@ def check_file(path: Path) -> List[Violation]:
         if QUEUE_RE.search(line) and rel not in QUEUE_ACCESS_ALLOWLIST:
             violations.append((
                 rel, lineno, "private-queue-access",
-                "._queue is Environment-private; use Environment.scheduler "
-                "/ Environment.new_queue() or the EventQueue protocol",
-            ))
-        if (
-            TRANSPORT_SEND_RE.search(line)
-            and rel not in TRANSPORT_SEND_ALLOWLIST
-        ):
-            violations.append((
-                rel, lineno, "deprecated-transport-send",
-                "Transport.send/send_batch are deprecated shims; pass the "
-                "emission's (dst_task, tuple) list to Transport.deliver",
+                "._queue is Environment-private; use Environment.schedule "
+                "/ peek / queue_depth",
             ))
     return violations
 

@@ -15,18 +15,16 @@ Two checks run per benchmark, both with the same ``tolerance``:
   the noise-robust statistic under additive load drift (see
   ``repro.bench.harness``), but separate runs on a shared machine can
   still drift apart, so this check alone is not enough.
-* paired speedup — for benchmarks with a frozen ``_legacy`` (or
-  same-code ``_serial`` / ``_heap`` / ``_fullbatch`` / ``_pertuple``)
-  twin, the interleaved current-vs-twin speedup must not drop below the
-  baseline's by more than ``tolerance``.
+* paired speedup — for benchmarks with a same-code ``_serial`` /
+  ``_fullbatch`` twin, the interleaved base-vs-twin speedup must not
+  drop below the baseline's by more than ``tolerance``.
   Because both sides run interleaved in one process, this ratio is
   immune to machine-load drift and is the reliable signal on busy CI
   runners.
 
-Legacy twins are frozen code — they only measure the machine, so they
-are reported but never gate.  Benchmarks present on one side only are
-reported and skipped: adding a benchmark must not break CI, and the gate
-should complain loudly (not crash) if one disappears.
+Benchmarks present on one side only are reported and skipped: adding a
+benchmark must not break CI, and the gate should complain loudly (not
+crash) if one disappears.
 
 Parallel benchmarks (schema ``repro-bench/2``) record the worker count
 they ran with in a per-result ``jobs`` field.  Times measured at
@@ -41,19 +39,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-LEGACY_SUFFIX = "_legacy"
-SERIAL_SUFFIX = "_serial"
-HEAP_SUFFIX = "_heap"
-FULLBATCH_SUFFIX = "_fullbatch"
-PERTUPLE_SUFFIX = "_pertuple"
-TWIN_SUFFIXES = (
-    LEGACY_SUFFIX,
-    SERIAL_SUFFIX,
-    HEAP_SUFFIX,
-    FULLBATCH_SUFFIX,
-    PERTUPLE_SUFFIX,
-)
 
 
 def _best_time(result: dict) -> float:
@@ -92,13 +77,10 @@ def compare(bench: dict, baseline: dict, tolerance: float) -> int:
         cur = _best_time(current[name])
         base = _best_time(pinned[name])
         ratio = cur / base if base > 0 else float("inf")
-        gated = not name.endswith(LEGACY_SUFFIX)
         status = "ok"
-        if gated and cur > base * (1.0 + tolerance):
+        if cur > base * (1.0 + tolerance):
             status = "REGRESSED"
             failures.append(name)
-        elif not gated:
-            status = "info (legacy, not gated)"
         print(
             f"{status:26s} {name}: best {cur * 1e3:.2f} ms vs baseline "
             f"{base * 1e3:.2f} ms ({ratio:.2f}x)"

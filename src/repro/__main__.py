@@ -321,7 +321,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         control=control,
         jobs=args.jobs,
         cache=args.cache,
-        scheduler=args.scheduler,
         retrain_interval=args.retrain_interval,
     )
     print(f"app          : {args.app}  arm: {args.arm}")
@@ -365,7 +364,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         arms=tuple(args.arms),
         jobs=args.jobs,
         cache=args.cache,
-        scheduler=args.scheduler,
     )
     spec = report.scenario
     print(f"scenario     : {spec.name}  ({spec.description})")
@@ -590,11 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slowdowns", type=int, default=0)
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the campaign report JSON here")
-    p.add_argument("--scheduler", default="heap",
-                   choices=("heap", "calendar", "wheel"),
-                   help="kernel event-queue implementation; a pure "
-                        "performance knob — reports are byte-identical "
-                        "under any choice (default: heap)")
     _parallel_flags(p)
     p.set_defaults(func=_cmd_chaos)
 
@@ -618,10 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-run seeds)")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the campaign report JSON here")
-    p.add_argument("--scheduler", default="heap",
-                   choices=("heap", "calendar", "wheel"),
-                   help="kernel event-queue implementation; reports are "
-                        "byte-identical under any choice (default: heap)")
     _parallel_flags(p)
     p.set_defaults(func=_cmd_scenario)
 
@@ -660,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workload size preset (default: smoke)")
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", default="BENCH_pr7.json",
+    p.add_argument("--out", default="BENCH.json",
                    help="output JSON path")
     p.add_argument("--only", nargs="*", default=None,
                    help="subset of benchmark names to run")

@@ -1,15 +1,18 @@
-"""Hot-path performance benchmarks and their frozen legacy baselines.
+"""Hot-path performance benchmarks.
 
 ``python -m repro bench`` (or :func:`repro.bench.harness.main`) times the
-simulator's tracked hot paths — DES event loop, transport send/deliver,
-stats-monitor ingest/extract, DRNN fit and predict — under a
-warmup/repeat/median protocol and writes a schema-versioned
-``BENCH_*.json``.  See ``docs/performance.md`` for the protocol, the JSON
-schema, and the recorded before/after numbers.
+simulator's tracked hot paths — DES event loop, transport deliver,
+end-to-end topology throughput, stats-monitor ingest/extract, DRNN fit
+and predict, campaign fan-out — under a warmup/repeat/median protocol
+and writes a schema-versioned ``BENCH*.json``.  See
+``docs/performance.md`` for the protocol and the JSON schema.
 
-The ``legacy_*`` modules are verbatim copies of the pre-optimisation
-implementations; they exist so a single benchmark run self-documents its
-speedup ratios and must not be imported outside this package.
+The frozen pre-optimisation twins this package used to carry (the old
+kernel and monitor copies, the per-tuple data plane, the
+calendar-vs-heap queue stream) were removed; the ratios they anchored
+stay on record in the checked-in ``BENCH_pr3/6/7/10.json``, and the
+surviving code is gated on absolute time against
+``benchmarks/perf/baseline_smoke.json``.
 """
 
 from repro.bench.harness import (

@@ -24,21 +24,14 @@ Output is a schema-versioned JSON document (``repro-bench/2``)::
       "speedups": {"<name>": <min twin time / min current time>, ...}
     }
 
-``speedups`` pairs every ``<name>_legacy`` / ``<name>_serial`` /
-``<name>_heap`` / ``<name>_fullbatch`` entry with ``<name>``:
-``_legacy`` twins run the frozen pre-optimisation implementations
-shipped in :mod:`repro.bench`, ``_serial`` twins run the same workload
-with parallelism disabled (``jobs=1``), ``_heap`` twins run the same
-event stream through the default heap scheduler (so the file records the
-calendar queue's cluster-scale speedup), and ``_fullbatch`` twins run
-the same number of optimizer updates full-batch (so the file records the
-per-update cost advantage of mini-batched BPTT), and ``_pertuple`` twins
-run the identical topology simulation through the frozen per-tuple data
-plane (so the file records the batched data plane's speedup) — one file documents
-every kind of before/after ratio without needing a second checkout.  Pairs are measured with their repeats interleaved (load drift
-hits both sides) and the speedup is the ratio of the two per-side minima
-— noise is additive, so each minimum is the best estimate of the
-noise-free time.
+``speedups`` pairs every ``<name>_serial`` / ``<name>_fullbatch`` entry
+with ``<name>``: ``_serial`` twins run the same workload with
+parallelism disabled (``jobs=1``) and ``_fullbatch`` twins run the same
+number of optimizer updates full-batch (so the file records the
+per-update cost advantage of mini-batched BPTT).  Pairs are measured
+with their repeats interleaved (load drift hits both sides) and the
+speedup is the ratio of the two per-side minima — noise is additive, so
+each minimum is the best estimate of the noise-free time.
 
 Parallel benchmarks additionally record the worker count (``jobs``) and
 the last repeat's per-shard wall-clock seconds; results measured at
@@ -61,27 +54,8 @@ import numpy as np
 from repro.bench.hotpaths import BENCHMARKS, SCALES
 
 SCHEMA = "repro-bench/2"
-LEGACY_SUFFIX = "_legacy"
-SERIAL_SUFFIX = "_serial"
-HEAP_SUFFIX = "_heap"
-FULLBATCH_SUFFIX = "_fullbatch"
-PERTUPLE_SUFFIX = "_pertuple"
 #: suffixes that pair a twin benchmark with its base name for speedups
-TWIN_SUFFIXES = (
-    LEGACY_SUFFIX,
-    SERIAL_SUFFIX,
-    HEAP_SUFFIX,
-    FULLBATCH_SUFFIX,
-    PERTUPLE_SUFFIX,
-)
-
-
-def _twin_of(name: str) -> Optional[str]:
-    """Base benchmark name if ``name`` is a twin, else ``None``."""
-    for suffix in TWIN_SUFFIXES:
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return None
+TWIN_SUFFIXES = ("_serial", "_fullbatch")
 
 
 def _units_of(ret) -> Tuple[int, Dict[str, object]]:
@@ -136,7 +110,7 @@ def time_benchmark_pair(
 ):
     """Time two callables with their repeats interleaved (a, b, a, b, ...).
 
-    Used for current-vs-legacy pairs: on a noisy shared machine, load
+    Used for base-vs-twin pairs: on a noisy shared machine, load
     drift between two back-to-back sequential runs can swamp the effect
     being measured, while alternating repeats expose both callables to
     the same drift.  Returns ``(result_a, result_b, ratio)`` where
@@ -204,7 +178,7 @@ def run_benchmarks(
         )
         if twin_name is not None:
             # Interleave the pair's repeats so machine-load drift hits
-            # both implementations equally and cancels in the ratio.
+            # both sides equally and cancels in the ratio.
             fn = factory(params)
             twin_fn = BENCHMARKS[twin_name](params)
             results[name], results[twin_name], ratio = time_benchmark_pair(
@@ -266,7 +240,7 @@ def main(argv=None) -> int:
     parser.add_argument("--warmup", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
-        "--out", default="BENCH_pr10.json", help="output JSON path"
+        "--out", default="BENCH.json", help="output JSON path"
     )
     parser.add_argument(
         "--only", nargs="*", default=None,

@@ -5,21 +5,12 @@ single invocation performs a fixed amount of work and returns the number
 of *work units* completed (events, tuples, intervals, samples), so the
 harness can derive a throughput next to the raw wall-clock median.
 
-Two of the paths — the DES event loop and the stats monitor — also have a
-``*_legacy`` twin running the frozen pre-optimisation implementation
-(:mod:`repro.bench.legacy_kernel`, :mod:`repro.bench.legacy_monitor`), so
-every emitted ``BENCH_*.json`` carries its own before/after speedup.
-The campaign fan-out path instead has a ``*_serial`` twin: the identical
-workload with ``jobs=1``, so the file documents the multi-core speedup of
-the sharded experiment engine (:mod:`repro.parallel`) on the machine that
-produced it.  The cluster-scale scheduler path has a ``*_heap`` twin: the
-same event stream through the default binary heap, so the file records
-the calendar queue's speedup at cluster event density (see
-``docs/scheduler.md``).  The end-to-end topology path has a
-``*_pertuple`` twin: the identical simulation through the frozen
-per-tuple data plane (``TopologyConfig(data_plane="pertuple")``), so the
-file records the batched data plane's speedup (see
-``docs/performance.md``).
+Two paths have a same-code twin whose ratio the harness records: the
+campaign fan-out path has a ``*_serial`` twin (the identical workload
+with ``jobs=1``, so the file documents what the sharded experiment
+engine of :mod:`repro.parallel` gains on the machine that produced it),
+and the mini-batched DRNN fit has a ``*_fullbatch`` twin (the same
+number of optimizer updates at ``batch_size=n``).
 """
 
 from __future__ import annotations
@@ -30,8 +21,6 @@ from typing import Callable, Dict, List, Tuple as Tup
 
 import numpy as np
 
-from repro.bench.legacy_kernel import LegacyEnvironment
-from repro.bench.legacy_monitor import LegacyStatsMonitor
 from repro.core.monitor import StatsMonitor
 from repro.des.environment import Environment
 from repro.des.stores import Store
@@ -70,11 +59,6 @@ SCALES: Dict[str, Dict[str, int]] = {
         "campaign_runs": 4,
         "campaign_horizon": 30,
         "campaign_rate": 60,
-        "cluster_nodes": 100,
-        "cluster_executors": 2_000,
-        "cluster_inflight": 125,
-        "cluster_churn": 60_000,
-        "cluster_ticks": 800,
     },
     "full": {
         "kernel_procs": 50,
@@ -96,11 +80,6 @@ SCALES: Dict[str, Dict[str, int]] = {
         "campaign_runs": 16,
         "campaign_horizon": 60,
         "campaign_rate": 120,
-        "cluster_nodes": 100,
-        "cluster_executors": 2_000,
-        "cluster_inflight": 500,
-        "cluster_churn": 300_000,
-        "cluster_ticks": 3_000,
     },
 }
 
@@ -134,12 +113,6 @@ def _kernel_workload(env, n_procs: int, chain: int) -> int:
 def make_des_event_loop(scale: Dict[str, int]) -> Callable[[], int]:
     return lambda: _kernel_workload(
         Environment(), scale["kernel_procs"], scale["kernel_chain"]
-    )
-
-
-def make_des_event_loop_legacy(scale: Dict[str, int]) -> Callable[[], int]:
-    return lambda: _kernel_workload(
-        LegacyEnvironment(), scale["kernel_procs"], scale["kernel_chain"]
     )
 
 
@@ -186,16 +159,16 @@ def make_transport_send_deliver(scale: Dict[str, int]) -> Callable[[], int]:
 # -- end-to-end topology data plane ------------------------------------------------
 
 
-def _fanout_topology(scale: Dict[str, int], data_plane: str):
+def _fanout_topology(scale: Dict[str, int]):
     """Build the fan-out roll-up topology the data-plane bench runs.
 
     ``src --shuffle--> fan --fields--> sink``: every fan execute emits a
     ``topology_fanout``-tuple batch keyed over a small hot key set —
     the same batch-emission shape as URL-count's windowed roll-up
     (tick → top-k partials), distilled so the data plane dominates the
-    run.  The sink's queues stay backlogged between batches, which is
-    the regime the batched service targets (drain-and-serve without
-    get events, one delivery event per batch, memoized fields routing).
+    run.  The sink's queues stay backlogged between batches: the
+    drain-and-serve regime (no get events, one delivery event per
+    batch, memoized fields routing).
     """
     from repro.storm.api import Bolt, Emission, Spout
     from repro.storm.topology import TopologyBuilder
@@ -237,12 +210,10 @@ def _fanout_topology(scale: Dict[str, int], data_plane: str):
         def execute(self, tup, collector) -> None:
             pass
 
-    # Deterministic service times: the twins pop identical event streams
-    # either way, and skipping the per-tuple noise draw keeps the ratio
-    # about the data plane rather than the RNG.
+    # Deterministic service times: skipping the per-tuple noise draw
+    # keeps the timing about the data plane rather than the RNG.
     config = TopologyConfig(
-        num_workers=2, tick_interval=0.0, data_plane=data_plane,
-        service_noise_sigma=0.0,
+        num_workers=2, tick_interval=0.0, service_noise_sigma=0.0,
     )
     builder = TopologyBuilder()
     builder.set_spout("src", BlastSpout(), parallelism=1)
@@ -253,34 +224,21 @@ def _fanout_topology(scale: Dict[str, int], data_plane: str):
     return builder.build("fanout-rollup", config)
 
 
-def _topology_workload(scale: Dict[str, int], data_plane: str) -> int:
+def make_topology_throughput(scale: Dict[str, int]) -> Callable[[], int]:
     """One fan-out roll-up run through the full simulator stack.
 
-    The ``_pertuple`` twin runs the *identical* simulation (same seed,
-    byte-identical results) through the frozen per-tuple data plane, so
-    the ratio isolates the data-plane mechanics: batched service
-    drain, compiled routing tables, and per-batch delivery events.
-    Work units are executed tuple services, which the twins match
-    exactly.
+    Work units are executed tuple services.
     """
     from repro.storm.builder import SimulationBuilder
 
-    topology = _fanout_topology(scale, data_plane)
-    sim = SimulationBuilder(topology).seed(3).build()
-    sim.run(float(scale["topology_duration"]))
-    return int(
-        sum(ex.executed_count for ex in sim.cluster.executors.values())
-    )
+    def run() -> int:
+        sim = SimulationBuilder(_fanout_topology(scale)).seed(3).build()
+        sim.run(float(scale["topology_duration"]))
+        return int(
+            sum(ex.executed_count for ex in sim.cluster.executors.values())
+        )
 
-
-def make_topology_throughput(scale: Dict[str, int]) -> Callable[[], int]:
-    return lambda: _topology_workload(scale, "batched")
-
-
-def make_topology_throughput_pertuple(
-    scale: Dict[str, int]
-) -> Callable[[], int]:
-    return lambda: _topology_workload(scale, "pertuple")
+    return run
 
 
 # -- stats monitor -----------------------------------------------------------------
@@ -354,13 +312,6 @@ def make_monitor_observe_extract(scale: Dict[str, int]) -> Callable[[], int]:
         scale["monitor_workers"], scale["monitor_intervals"]
     )
     return lambda: _monitor_workload(StatsMonitor(cluster), snapshots)
-
-
-def make_monitor_observe_extract_legacy(scale: Dict[str, int]) -> Callable[[], int]:
-    cluster, snapshots = make_monitor_fixture(
-        scale["monitor_workers"], scale["monitor_intervals"]
-    )
-    return lambda: _monitor_workload(LegacyStatsMonitor(cluster), snapshots)
 
 
 # -- DRNN --------------------------------------------------------------------------
@@ -464,100 +415,6 @@ def make_drnn_minibatch_fullbatch(scale: Dict[str, int]) -> Callable[[], int]:
     return run
 
 
-# -- cluster-scale scheduler -------------------------------------------------------
-
-#: Hold times (integer microseconds on the 1 ms tick grid) for the
-#: cluster workload: most redeliveries land a tick or two out (executor
-#: service + intra-node hops), a tail waits on ack sweeps and retries.
-_CLUSTER_HOLDS = (1_000.0, 2_000.0, 5_000.0, 10_000.0, 20_000.0)
-_CLUSTER_HOLD_P = (0.40, 0.25, 0.20, 0.10, 0.05)
-
-
-#: Prebuilt (entries, holds) per scale, shared by the twin factories so
-#: the pair pushes the *same* tuple objects and neither timed run pays
-#: for constructing a million-entry stream.
-_CLUSTER_STREAMS: Dict[Tup[int, ...], Tup[list, list]] = {}
-
-
-def _cluster_stream(scale: Dict[str, int]) -> Tup[list, list]:
-    """The cluster event stream: initial pending entries + hold times.
-
-    Models the pending-event set of a ``cluster_nodes``-node,
-    ``cluster_executors``-executor topology in the paper's saturated
-    regime: each executor holds ``cluster_inflight`` scheduled
-    deliveries/completions, stamped on a 1 ms tick grid so same-tick
-    bursts are massive and entries tie through ``(time, priority,
-    seq)`` exactly like kernel entries (the regime the vectorized
-    delivery path batches).  Times are integer-microsecond floats, so
-    additions stay exact and ties are genuine.  URGENT entries appear
-    at one-per-node-per-burst frequency (control messages); everything
-    else is NORMAL data flow.
-    """
-    key = (
-        scale["cluster_nodes"], scale["cluster_executors"],
-        scale["cluster_inflight"], scale["cluster_churn"],
-        scale["cluster_ticks"],
-    )
-    cached = _CLUSTER_STREAMS.get(key)
-    if cached is None:
-        executors = scale["cluster_executors"]
-        n0 = executors * scale["cluster_inflight"]
-        rng = np.random.default_rng(23)
-        times = np.floor(
-            rng.uniform(0, scale["cluster_ticks"], size=n0)
-        ) * 1_000.0
-        p_urgent = scale["cluster_nodes"] / executors
-        prios = np.where(rng.random(n0) < p_urgent, 0, 1)
-        entries = [
-            (when, prio, seq, None)
-            for seq, (when, prio) in enumerate(
-                zip(times.tolist(), prios.tolist()), start=1
-            )
-        ]
-        holds = rng.choice(
-            _CLUSTER_HOLDS, size=scale["cluster_churn"], p=_CLUSTER_HOLD_P
-        ).tolist()
-        cached = _CLUSTER_STREAMS[key] = (entries, holds)
-    return cached
-
-
-def _scheduler_workload(kind: str, entries: list, holds: list) -> int:
-    """Drive one scheduler through the cluster-density event stream.
-
-    The queue is filled push-at-a-time (how the kernel schedules),
-    churned through the hold cycles (pop the next event, schedule its
-    successor one hold later), then drained by count — the ramp-up /
-    steady-state / backlog-drain lifecycle of a run segment.  The
-    counted drain means every entry is pushed and popped exactly once
-    and neither scheduler pays per-iteration truth tests the other
-    would skip.
-    """
-    from repro.des.queues import make_queue
-
-    queue = make_queue(kind)
-    push, pop = queue.push, queue.pop
-    for entry in entries:
-        push(entry)
-    seq = len(entries)
-    for hold in holds:
-        entry = pop()
-        seq += 1
-        push((entry[0] + hold, 1, seq, None))
-    for _ in range(len(entries)):
-        pop()
-    return len(entries) + len(holds)
-
-
-def make_cluster_scale(scale: Dict[str, int]) -> Callable[[], int]:
-    entries, holds = _cluster_stream(scale)
-    return lambda: _scheduler_workload("calendar", entries, holds)
-
-
-def make_cluster_scale_heap(scale: Dict[str, int]) -> Callable[[], int]:
-    entries, holds = _cluster_stream(scale)
-    return lambda: _scheduler_workload("heap", entries, holds)
-
-
 # -- sharded chaos-campaign fan-out ------------------------------------------------
 
 
@@ -601,23 +458,17 @@ def make_campaign_fanout_serial(
     return lambda: _campaign_workload(scale, 1)
 
 
-#: name -> factory; ``*_legacy`` / ``*_serial`` / ``*_heap`` /
-#: ``*_fullbatch`` entries are paired with their base name by the
-#: harness to derive speedup ratios.
+#: name -> factory; ``*_serial`` / ``*_fullbatch`` entries are paired
+#: with their base name by the harness to derive speedup ratios.
 BENCHMARKS: Dict[str, Callable[[Dict[str, int]], Callable[[], int]]] = {
     "des_event_loop": make_des_event_loop,
-    "des_event_loop_legacy": make_des_event_loop_legacy,
     "transport_send_deliver": make_transport_send_deliver,
     "topology_throughput": make_topology_throughput,
-    "topology_throughput_pertuple": make_topology_throughput_pertuple,
     "monitor_observe_extract": make_monitor_observe_extract,
-    "monitor_observe_extract_legacy": make_monitor_observe_extract_legacy,
     "drnn_fit": make_drnn_fit,
     "drnn_predict": make_drnn_predict,
     "drnn_minibatch": make_drnn_minibatch,
     "drnn_minibatch_fullbatch": make_drnn_minibatch_fullbatch,
-    "cluster_scale": make_cluster_scale,
-    "cluster_scale_heap": make_cluster_scale_heap,
     "campaign_fanout": make_campaign_fanout,
     "campaign_fanout_serial": make_campaign_fanout_serial,
 }

@@ -8,9 +8,7 @@ predictor and loop configuration — and wired to a simulation explicitly::
     sim.run(duration=300)
 
 Attachment must happen before the first ``run()``; the simulation raises
-a clear error otherwise.  (The legacy implicit form
-``PredictiveController(sim, predictor, ...)`` still works as a shim: it
-constructs and immediately attaches.)
+a clear error otherwise.
 
 Once attached, the loop iterates every ``control_interval`` simulation
 seconds:
@@ -93,41 +91,15 @@ class PredictiveController:
         If set, the controller (re)fits its predictor from the monitor's
         own history once that many intervals have been observed — the
         fully-online mode (no pre-training run needed).
-
-    The legacy calling convention ``PredictiveController(sim, predictor,
-    config, ...)`` constructs the controller and attaches it to ``sim``
-    in one step (deprecated; prefer ``sim.attach(...)`` or the builder).
     """
 
-    _ARG_NAMES = ("predictor", "config", "edges", "online_fit_after")
-
-    def __init__(self, *args, **kwargs) -> None:
-        # Accept both the detached signature (predictor, config=None,
-        # edges=None, online_fit_after=None) and the legacy one with a
-        # leading simulation: strip the sim, then bind the rest by name.
-        sim: Optional["StormSimulation"] = None
-        if args:
-            from repro.storm.runner import StormSimulation
-
-            if isinstance(args[0], StormSimulation):
-                sim = args[0]
-                args = args[1:]
-        if len(args) > len(self._ARG_NAMES):
-            raise TypeError(
-                f"PredictiveController takes at most "
-                f"{len(self._ARG_NAMES)} arguments ({len(args)} given)"
-            )
-        for name, value in zip(self._ARG_NAMES, args):
-            if name in kwargs:
-                raise TypeError(f"got multiple values for argument {name!r}")
-            kwargs[name] = value
-        unknown = set(kwargs) - set(self._ARG_NAMES)
-        if unknown:
-            raise TypeError(f"unexpected arguments: {sorted(unknown)}")
-        predictor = kwargs.get("predictor")
-        config: Optional[ControllerConfig] = kwargs.get("config")
-        edges = kwargs.get("edges")
-        online_fit_after: Optional[int] = kwargs.get("online_fit_after")
+    def __init__(
+        self,
+        predictor: PerformancePredictor,
+        config: Optional[ControllerConfig] = None,
+        edges: Optional[Sequence[Tuple[str, str, str]]] = None,
+        online_fit_after: Optional[int] = None,
+    ) -> None:
         if not isinstance(predictor, PerformancePredictor):
             raise TypeError(
                 f"expected a PerformancePredictor, got {predictor!r}"
@@ -155,8 +127,6 @@ class PredictiveController:
         self._m_reroutes: Optional["Counter"] = None
         self._m_step_wall: Optional["LogHistogram"] = None
         self._proc = None
-        if sim is not None:
-            sim.attach(self)
 
     # -- attachment ---------------------------------------------------------------
 

@@ -18,8 +18,8 @@ builds a **fresh** model from the factory with a fixed seed and fresh
 scalers, so the fitted weights depend only on the monitor contents at
 the refit tick, never on how many refits happened before or on any
 cross-run mutable state.  Campaigns with online retraining are therefore
-byte-identical across ``--jobs``, cache states, and schedulers like
-every other arm.
+byte-identical across ``--jobs`` and cache states like every other
+arm.
 """
 
 from __future__ import annotations

@@ -15,10 +15,7 @@ generator-coroutine based discrete-event engine in the style of SimPy:
 * :class:`~repro.des.stores.Store` / :class:`~repro.des.stores.PriorityStore`
   — bounded producer/consumer queues (used for executor input queues).
 * :class:`~repro.des.resource.Resource` — counted resource with FIFO waiters.
-* :mod:`~repro.des.queues` — pluggable event-queue backends
-  (:class:`~repro.des.queues.HeapQueue`,
-  :class:`~repro.des.queues.CalendarQueue`) behind the
-  :class:`~repro.des.queues.EventQueue` protocol.
+* :class:`~repro.des.queues.HeapQueue` — the binary-heap event queue.
 * :mod:`~repro.des.rng` — deterministic per-component random streams.
 
 The kernel is single-threaded and fully deterministic for a given seed;
@@ -36,13 +33,7 @@ from repro.des.events import (
     Timeout,
 )
 from repro.des.process import Process
-from repro.des.queues import (
-    QUEUE_KINDS,
-    CalendarQueue,
-    EventQueue,
-    HeapQueue,
-    make_queue,
-)
+from repro.des.queues import HeapQueue
 from repro.des.resource import Resource
 from repro.des.rng import (
     RngRegistry,
@@ -56,22 +47,18 @@ from repro.des.stores import PriorityItem, PriorityStore, Store
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Environment",
     "Event",
-    "EventQueue",
     "HeapQueue",
     "Interrupt",
     "PriorityItem",
     "PriorityStore",
     "Process",
-    "QUEUE_KINDS",
     "Resource",
     "RngRegistry",
     "StopSimulation",
     "Store",
     "Timeout",
-    "make_queue",
     "spawn_rngs",
     "child_sequence",
     "derive_seed",

@@ -26,7 +26,7 @@ from repro.des.events import (
     Timeout,
 )
 from repro.des.process import Process
-from repro.des.queues import EventQueue, make_queue
+from repro.des.queues import HeapQueue
 
 
 class EmptySchedule(Exception):
@@ -40,21 +40,11 @@ class Environment:
     ----------
     initial_time:
         Starting value of the virtual clock (default ``0.0``).
-    queue:
-        The event-queue backing the scheduler: a registry name
-        (``"heap"`` | ``"calendar"``), a prepared :class:`EventQueue`,
-        or ``None`` for the default binary heap.  Every implementation
-        pops the same ``(time, priority, seq)`` order, so this is a
-        pure performance knob (see :mod:`repro.des.queues`).
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        queue: "str | EventQueue | None" = None,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: EventQueue = make_queue(queue)
+        self._queue = HeapQueue()
         #: bound push of the event queue — the one scheduling entry
         #: point; ``Event.succeed``/``fail`` and ``Timeout`` push
         #: through it rather than reaching into the queue structure.
@@ -109,21 +99,6 @@ class Environment:
     def queue_depth(self) -> int:
         """Events currently pending in the queue."""
         return len(self._queue)
-
-    @property
-    def scheduler(self) -> str:
-        """Registry name of the event-queue implementation in use."""
-        return self._queue.kind
-
-    def new_queue(self) -> EventQueue:
-        """A fresh, empty queue of the same kind as the scheduler's.
-
-        Components that need their own total-order queue (e.g.
-        :class:`~repro.des.stores.PriorityStore`) derive it from here so
-        tie-breaking stays sequence-stable under whichever scheduler the
-        simulation was built with.
-        """
-        return make_queue(self._queue.kind)
 
     # -- profiling -----------------------------------------------------------------
 
@@ -256,7 +231,7 @@ class Environment:
                 while True:
                     self.step()
             queue = self._queue
-            pop_entry = queue.pop  # heap: a bound C partial; no dispatch cost
+            pop_entry = queue.pop  # a bound C partial; no dispatch cost
             pool = self._timeout_pool
             timeout_cls = Timeout
             while queue:

@@ -1,46 +1,18 @@
-"""Pluggable event-queue implementations for the DES kernel.
+"""The event queue of the DES kernel: a binary heap.
 
-The environment's scheduler is a total order over ``(when, priority,
+The environment's schedule is a total order over ``(when, priority,
 seq, payload)`` tuples: lexicographic tuple comparison *is* the
 determinism contract (``seq`` strictly increases with push order, so
-ties at equal time and priority resolve in scheduling order).  Any
-structure that pops entries in exactly that order can back the kernel —
-this module defines the :class:`EventQueue` protocol plus the two
-shipped implementations:
-
-:class:`HeapQueue`
-    The classic binary heap (extracted from the previously hard-wired
-    ``heapq`` loop, byte-identical behaviour).  O(log n) push/pop with
-    C-speed constants; the default.
-
-:class:`CalendarQueue`
-    A calendar queue (Brown 1988): a power-of-two ring of sorted
-    day-buckets with O(1) amortized push/pop at high event density,
-    where a deep heap pays its O(log n) comparisons — and, under heavy
-    same-tick bursts, pays them on multi-element tuple compares.
-    Selected via ``SimulationBuilder.scheduler("calendar")``.
-
-:class:`WheelQueue`
-    A timing wheel: fixed-width buckets over a sliding window of days,
-    with an overflow heap for entries beyond the horizon.  Pushes
-    inside the window are a single division plus an append — no
-    adaptive re-estimation, no resize — which suits the pure-tick
-    workloads that dominate dense clusters (deliveries and service
-    completions landing a few fixed-latency ticks out).  Selected via
-    ``SimulationBuilder.scheduler("wheel")``.
-
-All implementations pop the same entries in the same order on any
-interleaving (property-tested in ``tests/des/test_queues.py``), so the
-scheduler choice is a pure performance knob: golden campaign outputs
-are byte-identical under any of them.
+ties at equal time and priority resolve in scheduling order).
+:class:`~repro.des.stores.PriorityStore` keeps its items in the same
+structure, keyed ``(priority, seq, item)``.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import partial
 from heapq import heapify, heappop, heappush
-from typing import Any, Iterable, Protocol, Tuple, runtime_checkable
+from typing import Any, Iterable, Tuple
 
 #: A scheduled entry.  ``entry[0]`` is the sort key's leading component
 #: (event time for the kernel, priority for PriorityStore); the full
@@ -50,41 +22,14 @@ Entry = Tuple[Any, ...]
 _INF = float("inf")
 
 
-@runtime_checkable
-class EventQueue(Protocol):
-    """Total-order priority queue over comparable tuples.
-
-    Implementations must pop entries in ascending lexicographic tuple
-    order and expose ``kind`` (the registry name used by
-    ``SimulationBuilder.scheduler`` and ``Environment.new_queue``).
-    """
-
-    kind: str
-
-    def push(self, entry: Entry) -> None:
-        """Insert ``entry``."""
-        ...
-
-    def pop(self) -> Entry:
-        """Remove and return the smallest entry (IndexError if empty)."""
-        ...
-
-    def peek(self) -> float:
-        """``entry[0]`` of the smallest entry, or ``inf`` if empty."""
-        ...
-
-    def __len__(self) -> int: ...
-
-
 class HeapQueue(list):
-    """Binary-heap :class:`EventQueue` — the default scheduler.
+    """Binary-heap priority queue over comparable tuples.
 
     Subclasses ``list`` so the kernel's hot loop keeps C-speed truth
     tests and ``len``; ``push``/``pop`` are bound ``heapq`` partials
     (note they shadow ``list.pop`` — this is a queue, not a sequence).
+    ``pop`` raises ``IndexError`` when empty.
     """
-
-    kind = "heap"
 
     def __init__(self, entries: Iterable[Entry] = ()) -> None:
         super().__init__(entries)
@@ -94,455 +39,5 @@ class HeapQueue(list):
         self.pop = partial(heappop, self)
 
     def peek(self) -> float:
+        """``entry[0]`` of the smallest entry, or ``inf`` if empty."""
         return self[0][0] if self else _INF
-
-
-class CalendarQueue:
-    """Calendar-queue :class:`EventQueue` (Brown 1988).
-
-    A power-of-two ring of ``day`` buckets, each a sorted list of
-    entries whose key falls in that bucket's ``width``-wide window.  A
-    push costs one truncated division plus an append (when the entry
-    sorts after the bucket tail — the common case for the kernel's
-    monotone ``seq``) or a :func:`bisect.insort`; a pop takes the head
-    of the current day's bucket, scanning forward only when the day is
-    exhausted.  When pending entries cluster densely (the cluster-scale
-    regime), both are O(1) amortized.
-
-    Determinism: same-key entries land in the same bucket, where the
-    full-tuple comparison orders them exactly like the heap; across
-    buckets the forward scan visits windows in ascending order — so pop
-    order equals :class:`HeapQueue`'s on any interleaving.  Keys may go
-    backwards (``PriorityStore`` pushes arbitrary priorities): a push
-    before the current day rewinds the scan pointer, and a full-lap
-    miss (all pending entries far beyond the current year) falls back
-    to a direct min scan and resyncs.
-
-    The ring quadruples when occupancy exceeds two entries per bucket
-    and halves below one per four (asymmetric hysteresis, so drains do
-    not thrash through rebuilds); the new width is re-estimated from
-    the pending span so ~3 entries share a day, and
-    the rebuild redistributes bucket-by-bucket (each bucket is already
-    sorted, so per-bucket re-sorts merge a few sorted runs in near
-    linear time — no global sort).  See ``docs/scheduler.md``.
-
-    Implementation note: ``push``/``pop``/``peek`` are closures over
-    the ring state rather than methods.  The kernel's run loop binds
-    ``queue.push``/``queue.pop`` once and calls them per event, so the
-    bound callables must survive resizes — closures sharing ``nonlocal``
-    cells give that stability while also dropping the per-op attribute
-    lookups that dominate a pure-Python hot path.
-    """
-
-    kind = "calendar"
-
-    MIN_BUCKETS = 1 << 4
-    MAX_BUCKETS = 1 << 16
-
-    __slots__ = ("push", "pop", "peek", "_len", "_geometry")
-
-    def __init__(
-        self,
-        entries: Iterable[Entry] = (),
-        *,
-        width: float = 1.0,
-        buckets: int = MIN_BUCKETS,
-    ) -> None:
-        if width <= 0:
-            raise ValueError(f"bucket width must be positive, got {width}")
-        if buckets < 1 or buckets & (buckets - 1):
-            raise ValueError(f"bucket count must be a power of two, got {buckets}")
-        self._install(sorted(entries), float(width), int(buckets))
-
-    def _install(self, pending: list, width: float, nbuckets: int) -> None:
-        """Create the ring plus the closure ops sharing its state cells.
-
-        ``pending`` must be pre-sorted; a non-empty bulk load auto-sizes
-        the ring from the data (one sort + linear distribution instead
-        of per-push growth), while ``width``/``buckets`` set the empty
-        starting geometry.
-        """
-        min_buckets = self.MIN_BUCKETS
-        max_buckets = self.MAX_BUCKETS
-        size = len(pending)
-        if pending:
-            # Largest power of two <= size keeps occupancy in the
-            # steady-state band [n/2, 2n] that the resize rules maintain.
-            nbuckets = max(min_buckets, min(max_buckets, 1 << (size.bit_length() - 1)))
-            span = float(pending[-1][0]) - float(pending[0][0])
-            if span > 0.0:
-                width = max(3.0 * span / size, 1e-12)
-        mask = nbuckets - 1
-        buckets = [[] for _ in range(nbuckets)]
-        for entry in pending:
-            # Appending in globally sorted order keeps each bucket sorted.
-            buckets[int(entry[0] / width) & mask].append(entry)
-        # Absolute day index of the scan position.
-        idx = int(pending[0][0] / width) if pending else 0
-        # Hysteresis: grow above 2 entries/bucket, shrink below 1/4 —
-        # the asymmetric band stops drain-heavy phases from cascading
-        # through a rebuild at every halving.
-        grow_at = nbuckets << 1 if nbuckets < max_buckets else _INF
-        shrink_at = nbuckets >> 2 if nbuckets > min_buckets else 0
-
-        def _resize(n: int) -> None:
-            nonlocal buckets, mask, width, idx, grow_at, shrink_at
-            old_buckets = buckets
-            lo = hi = None
-            for b in old_buckets:
-                if b:
-                    h, t = b[0][0], b[-1][0]
-                    if lo is None:
-                        lo, hi = h, t
-                    else:
-                        if h < lo:
-                            lo = h
-                        if t > hi:
-                            hi = t
-            span = float(hi) - float(lo) if lo is not None else 0.0
-            if span > 0.0:
-                # ~3 entries per occupied day: pops usually hit the first
-                # scanned bucket while pushes append or insort into a
-                # near-constant-length bucket.
-                width = max(3.0 * span / size, 1e-12)
-            mask = n - 1
-            buckets = [[] for _ in range(n)]
-            for b in old_buckets:
-                for entry in b:
-                    buckets[int(entry[0] / width) & mask].append(entry)
-            for b in buckets:
-                if len(b) > 1:
-                    # Each new bucket is a concatenation of a few sorted
-                    # runs (one per contributing old bucket); timsort
-                    # merges those in near-linear time.
-                    b.sort()
-            if lo is not None:
-                idx = int(float(lo) / width)
-            grow_at = n << 1 if n < max_buckets else _INF
-            shrink_at = n >> 2 if n > min_buckets else 0
-
-        def push(entry) -> None:
-            nonlocal idx, size
-            i = int(entry[0] / width)
-            b = buckets[i & mask]
-            if not b or b[-1] < entry:
-                b.append(entry)
-            else:
-                insort(b, entry)
-            if i < idx or not size:
-                idx = i
-            size += 1
-            if size > grow_at:
-                # Quadruple on growth: a filling queue crosses the
-                # coarse-geometry phase in half the rebuilds, and the
-                # total redistribution work stays ~1.33n instead of 2n.
-                _resize(min((mask + 1) << 2, max_buckets))
-
-        def pop():
-            nonlocal idx, size
-            if not size:
-                raise IndexError("pop from an empty CalendarQueue")
-            b = buckets[idx & mask]
-            # The day's window is [idx*width, (idx+1)*width); computing
-            # the bound by multiplication (never += accumulation) keeps
-            # it drift-free however long the simulation runs.
-            if b and b[0][0] < (idx + 1) * width:
-                entry = b.pop(0)
-            else:
-                i = idx + 1
-                entry = None
-                for _ in range(mask):
-                    b = buckets[i & mask]
-                    if b and b[0][0] < (i + 1) * width:
-                        entry = b.pop(0)
-                        idx = i
-                        break
-                    i += 1
-                if entry is None:
-                    # Lap miss: every pending entry lies beyond the
-                    # scanned year.  Take the global minimum over bucket
-                    # heads (full-tuple compare preserves the order
-                    # contract) and resync the scan.
-                    head = min(b[0] for b in buckets if b)
-                    idx = int(head[0] / width)
-                    entry = buckets[idx & mask].pop(0)
-            size -= 1
-            if size < shrink_at:
-                _resize((mask + 1) >> 1)
-            return entry
-
-        def peek() -> float:
-            if not size:
-                return _INF
-            i = idx
-            for _ in range(mask + 1):
-                b = buckets[i & mask]
-                if b and b[0][0] < (i + 1) * width:
-                    return b[0][0]
-                i += 1
-            return min(b[0][0] for b in buckets if b)
-
-        def _len() -> int:
-            return size
-
-        def _geometry() -> dict:
-            """Ring internals for tests and ``repr`` (not a hot path)."""
-            return {
-                "buckets": mask + 1,
-                "width": width,
-                "size": size,
-                "occupied": sum(1 for b in buckets if b),
-            }
-
-        self.push = push
-        self.pop = pop
-        self.peek = peek
-        self._len = _len
-        self._geometry = _geometry
-
-    def __len__(self) -> int:
-        return self._len()
-
-    def __bool__(self) -> bool:
-        return self._len() > 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        g = self._geometry()
-        return (
-            f"<CalendarQueue size={g['size']} buckets={g['buckets']}"
-            f" width={g['width']:g}>"
-        )
-
-
-class WheelQueue:
-    """Timing-wheel :class:`EventQueue` (fixed-width buckets + overflow heap).
-
-    The wheel covers a window of ``slots`` consecutive ``width``-wide
-    *days* anchored at ``base``; each day maps to exactly one bucket (the
-    window spans precisely one lap, so buckets never mix days).  A push
-    whose day falls inside the window costs one truncated division plus
-    an append (or an :func:`bisect.insort` when it sorts before the
-    bucket tail); days at or beyond the horizon go to an overflow heap.
-    A pop takes the head of the first occupied bucket at or after the
-    scan day.  Where the calendar queue re-estimates its geometry from
-    the pending span, the wheel's geometry is fixed — the right trade
-    for tick-grid workloads (per-tuple deliveries and service
-    completions land a handful of fixed-latency buckets ahead of
-    ``now``, so pushes almost never touch the heap).
-
-    Ordering invariant: every bucketed entry's day lies in
-    ``[base, base + slots)`` and every overflow entry's day is
-    ``>= base + slots``; days are monotone in the key, so all bucketed
-    entries sort before all overflow entries and the forward bucket scan
-    yields ascending days with full-tuple order inside each bucket —
-    pop order equals :class:`HeapQueue`'s on any interleaving.
-
-    Window maintenance:
-
-    * when the wheel empties but overflow remains, the window *rebases*
-      at the overflow minimum's day and entries within the new window
-      drain from the heap into buckets (sorted heap drain keeps each
-      bucket sorted by plain appends);
-    * a push below the scan day but inside the window just rewinds the
-      scan pointer;
-    * a push below ``base`` (arbitrary ``PriorityStore`` priorities can
-      go backwards) rebuilds the wheel anchored at the new minimum —
-      rare by construction, and correct for any key sequence.
-    """
-
-    kind = "wheel"
-
-    #: Default day width: the simulators' 1 ms tick grid (network
-    #: latencies and service times are fractions of this, so pending
-    #: events concentrate in the first few days ahead of ``now``).
-    DEFAULT_WIDTH = 1e-3
-    #: Default window: 4096 days (~4 s of horizon at the default width);
-    #: message timeouts and ack sweeps land in overflow and migrate in.
-    DEFAULT_SLOTS = 1 << 12
-
-    __slots__ = ("push", "pop", "peek", "_len", "_geometry")
-
-    def __init__(
-        self,
-        entries: Iterable[Entry] = (),
-        *,
-        width: float = DEFAULT_WIDTH,
-        slots: int = DEFAULT_SLOTS,
-    ) -> None:
-        if width <= 0:
-            raise ValueError(f"bucket width must be positive, got {width}")
-        if slots < 1 or slots & (slots - 1):
-            raise ValueError(f"slot count must be a power of two, got {slots}")
-        self._install(sorted(entries), float(width), int(slots))
-
-    def _install(self, pending: list, width: float, nslots: int) -> None:
-        """Build the wheel and the closure ops sharing its state cells.
-
-        ``pending`` must be pre-sorted.  Closures over ``nonlocal``
-        cells (not methods) for the same reason as
-        :class:`CalendarQueue`: the kernel binds ``push``/``pop`` once,
-        and closures drop the per-op attribute lookups.
-        """
-        mask = nslots - 1
-        buckets = [[] for _ in range(nslots)]
-        overflow: list = []  # min-heap of entries with day >= base + nslots
-        size = len(pending)  # total entries (buckets + overflow)
-        wheel_size = 0  # entries currently bucketed
-        base = idx = int(pending[0][0] / width) if pending else 0
-        limit = base + nslots
-        for entry in pending:
-            d = int(entry[0] / width)
-            if d < limit:
-                # Sorted load order keeps every bucket sorted via appends.
-                buckets[d & mask].append(entry)
-                wheel_size += 1
-            else:
-                overflow.append(entry)  # already sorted = a valid heap
-
-        def _rebase() -> None:
-            """Anchor the window at the overflow minimum and drain it in."""
-            nonlocal base, idx, limit, wheel_size
-            base = idx = int(overflow[0][0] / width)
-            limit = base + nslots
-            while overflow and int(overflow[0][0] / width) < limit:
-                entry = heappop(overflow)
-                # Heap drain is globally sorted, so appends stay sorted.
-                buckets[int(entry[0] / width) & mask].append(entry)
-                wheel_size += 1
-
-        def _rebuild(day: int) -> None:
-            """Re-anchor at ``day`` (a push below ``base``): redistribute."""
-            nonlocal base, idx, limit, wheel_size
-            stale = [entry for b in buckets for entry in b]
-            for b in buckets:
-                b.clear()
-            stale.extend(overflow)
-            stale.sort()
-            overflow.clear()
-            base = idx = day
-            limit = base + nslots
-            wheel_size = 0
-            for entry in stale:
-                d = int(entry[0] / width)
-                if d < limit:
-                    buckets[d & mask].append(entry)
-                    wheel_size += 1
-                else:
-                    overflow.append(entry)  # sorted tail = a valid heap
-
-        def push(entry) -> None:
-            nonlocal base, idx, limit, size, wheel_size
-            d = int(entry[0] / width)
-            if not size:
-                base = idx = d
-                limit = base + nslots
-            elif d < base:
-                _rebuild(d)
-            size += 1
-            if d < limit:
-                b = buckets[d & mask]
-                if not b or b[-1] < entry:
-                    b.append(entry)
-                else:
-                    insort(b, entry)
-                wheel_size += 1
-                if d < idx:
-                    idx = d  # rewind the scan to the earlier day
-            else:
-                heappush(overflow, entry)
-
-        def pop():
-            nonlocal idx, size, wheel_size
-            if not size:
-                raise IndexError("pop from an empty WheelQueue")
-            if not wheel_size:
-                _rebase()
-            i = idx
-            while True:
-                b = buckets[i & mask]
-                if b:
-                    idx = i
-                    size -= 1
-                    wheel_size -= 1
-                    return b.pop(0)
-                i += 1
-
-        def peek() -> float:
-            nonlocal idx
-            if not size:
-                return _INF
-            if not wheel_size:
-                return overflow[0][0]
-            i = idx
-            while True:
-                b = buckets[i & mask]
-                if b:
-                    idx = i  # advancing past empty days is free and sticky
-                    return b[0][0]
-                i += 1
-
-        def _len() -> int:
-            return size
-
-        def _geometry() -> dict:
-            """Wheel internals for tests and ``repr`` (not a hot path)."""
-            return {
-                "slots": nslots,
-                "width": width,
-                "size": size,
-                "wheel_size": wheel_size,
-                "overflow": len(overflow),
-                "base": base,
-            }
-
-        self.push = push
-        self.pop = pop
-        self.peek = peek
-        self._len = _len
-        self._geometry = _geometry
-
-    def __len__(self) -> int:
-        return self._len()
-
-    def __bool__(self) -> bool:
-        return self._len() > 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        g = self._geometry()
-        return (
-            f"<WheelQueue size={g['size']} slots={g['slots']}"
-            f" width={g['width']:g} overflow={g['overflow']}>"
-        )
-
-
-#: Registry of schedulers selectable by name (``SimulationBuilder
-#: .scheduler`` and the ``--scheduler`` CLI flag validate against this).
-QUEUE_KINDS = {
-    HeapQueue.kind: HeapQueue,
-    CalendarQueue.kind: CalendarQueue,
-    WheelQueue.kind: WheelQueue,
-}
-
-
-def make_queue(kind: "str | EventQueue | None" = None) -> EventQueue:
-    """Build an event queue from a registry name (or pass one through).
-
-    ``None`` means the default (``"heap"``); an already-constructed
-    :class:`EventQueue` is returned unchanged so callers can inject a
-    pre-tuned instance.
-    """
-    if kind is None:
-        return HeapQueue()
-    if isinstance(kind, str):
-        try:
-            return QUEUE_KINDS[kind]()
-        except KeyError:
-            raise ValueError(
-                f"unknown scheduler {kind!r}; expected one of "
-                f"{sorted(QUEUE_KINDS)}"
-            ) from None
-    if not isinstance(kind, EventQueue):
-        raise TypeError(
-            f"expected a scheduler name or EventQueue, got {kind!r}"
-        )
-    return kind

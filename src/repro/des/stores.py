@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.des.events import Event
+from repro.des.queues import HeapQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.environment import Environment
@@ -250,17 +251,13 @@ class PriorityStore(Store):
     as its own payload).  Ties break FIFO via the sequence number
     stamped at put time.
 
-    The items live in an :class:`~repro.des.queues.EventQueue` of the
-    same kind as the environment's scheduler (``env.new_queue()``),
-    keyed ``(priority, seq, item)`` — not in a raw ``heapq`` over item
-    objects — so release order and its FIFO tie-breaking are
-    sequence-stable under the calendar scheduler exactly as under the
-    default heap.
+    The items live in a :class:`~repro.des.queues.HeapQueue` keyed
+    ``(priority, seq, item)``, so item objects are never compared.
     """
 
     def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
         super().__init__(env, capacity)
-        self.items = env.new_queue()
+        self.items = HeapQueue()
         self._counter = 0
 
     def _do_store(self, item: Any) -> None:

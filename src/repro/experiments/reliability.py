@@ -265,7 +265,6 @@ def run_chaos_campaign(
     metrics: bool = False,
     jobs: int = 1,
     cache=None,
-    scheduler: str = "heap",
     retrain_interval: float = 30.0,
 ) -> CampaignReport:
     """Run a seeded chaos campaign over one evaluation app.
@@ -282,10 +281,7 @@ def run_chaos_campaign(
     report is a pure function of the arguments — rerunning reproduces it
     bit-for-bit, and sharding it across ``jobs`` worker processes (``0``
     = all cores) or serving runs from ``cache`` changes wall-clock only,
-    never a byte of the report (see ``docs/parallel.md``).  So does
-    ``scheduler`` (``"heap"`` | ``"calendar"``): every event-queue
-    implementation pops the identical event order (see
-    ``docs/scheduler.md``), pinned by the golden byte-identity tests.
+    never a byte of the report (see ``docs/parallel.md``).
     """
     if control not in (None, "reactive", "online", "autoscale"):
         raise ValueError(f"unknown chaos control arm {control!r}")
@@ -316,7 +312,6 @@ def run_chaos_campaign(
         metrics=metrics,
         app=app,
         controller_factory=controller_factory,
-        scheduler=scheduler,
     )
     return campaign.run(jobs=jobs, cache=cache)
 

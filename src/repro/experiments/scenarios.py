@@ -29,8 +29,8 @@ Arms (``ARMS``):
 Every arm of a run replays the *same* derived run seed, so arms differ
 only by their controller — a paired comparison, not two random draws.
 Reports are pure functions of ``(scenario, seed, runs, horizon, arms)``
-and byte-identical across ``jobs`` fan-out and event-queue scheduler
-choice, exactly like chaos campaigns.
+and byte-identical across ``jobs`` fan-out, exactly like chaos
+campaigns.
 """
 
 from __future__ import annotations
@@ -469,7 +469,6 @@ class ScenarioCampaign:
         arms: Sequence[str] = ("fixed", "autoscale"),
         nodes: Sequence[NodeSpec] = DEFAULT_NODES,
         metrics_interval: float = 1.0,
-        scheduler: str = "heap",
         trace: bool = False,
         trace_capacity: int = 1 << 16,
     ) -> None:
@@ -494,7 +493,6 @@ class ScenarioCampaign:
         self.arms = tuple(arms)
         self.nodes = tuple(nodes)
         self.metrics_interval = float(metrics_interval)
-        self.scheduler = str(scheduler)
         self.trace = bool(trace)
         self.trace_capacity = int(trace_capacity)
         self.last_shard_stats = None
@@ -522,7 +520,6 @@ class ScenarioCampaign:
             SimulationBuilder(topology)
             .nodes(self.nodes)
             .seed(run_seed)
-            .scheduler(self.scheduler)
             .metrics_interval(self.metrics_interval)
         )
         if self.trace:
@@ -563,7 +560,6 @@ class ScenarioCampaign:
             controller=repr(self._controller_factory(arm)),
             nodes=[vars(n) for n in self.nodes],
             metrics_interval=self.metrics_interval,
-            scheduler=self.scheduler,
             trace=self.trace,
             trace_capacity=self.trace_capacity,
             campaign_seed=self.seed,
@@ -632,7 +628,6 @@ def run_scenario_campaign(
     arms: Sequence[str] = ("fixed", "autoscale"),
     jobs: int = 1,
     cache=None,
-    scheduler: str = "heap",
     trace: bool = False,
     trace_capacity: int = 1 << 16,
 ) -> ScenarioReport:
@@ -653,7 +648,6 @@ def run_scenario_campaign(
         runs=runs,
         horizon=horizon,
         arms=arms,
-        scheduler=scheduler,
         trace=trace,
         trace_capacity=trace_capacity,
     )

@@ -9,8 +9,8 @@ them satisfied the bitwise sum invariant).
 
 All internal accumulation stays in exact rationals
 (:class:`fractions.Fraction`); floats appear only at the report boundary,
-so the emitted JSON is byte-identical across schedulers, ``--jobs``
-values, and platforms for the same simulated run.
+so the emitted JSON is byte-identical across ``--jobs`` values and
+platforms for the same simulated run.
 """
 
 from __future__ import annotations

@@ -54,7 +54,6 @@ class SimulationBuilder:
         self._topology = topology
         self._nodes: Sequence[NodeSpec] = DEFAULT_NODES
         self._seed = 0
-        self._scheduler = "heap"
         self._metrics_interval = 1.0
         self._faults: List[Fault] = []
         self._controllers: List[object] = []  # controllers or spec tuples
@@ -86,28 +85,6 @@ class SimulationBuilder:
     def seed(self, seed: int) -> "SimulationBuilder":
         """Root seed for all simulation randomness."""
         self._seed = int(seed)
-        return self
-
-    def scheduler(self, kind: str) -> "SimulationBuilder":
-        """Select the kernel's event-queue implementation.
-
-        ``"heap"`` (the default binary heap), ``"calendar"`` (the
-        calendar queue, O(1) amortized at cluster-scale event density),
-        or ``"wheel"`` (the timing wheel: fixed-width buckets over a
-        sliding window with an overflow heap for far timestamps).
-        Every scheduler pops the identical ``(time, priority, seq)``
-        order, so results are byte-identical across choices — this is a
-        pure performance knob (see :mod:`repro.des.queues` and
-        ``docs/scheduler.md``).
-        """
-        from repro.des.queues import QUEUE_KINDS
-
-        if kind not in QUEUE_KINDS:
-            raise ValueError(
-                f"unknown scheduler {kind!r}; expected one of "
-                f"{sorted(QUEUE_KINDS)}"
-            )
-        self._scheduler = kind
         return self
 
     def metrics_interval(self, interval: float) -> "SimulationBuilder":
@@ -293,7 +270,6 @@ class SimulationBuilder:
             metrics_interval=self._metrics_interval,
             faults=tuple(faults),
             observability=observability,
-            scheduler=self._scheduler,
         )
         if self._controllers:
             from repro.core.controller import PredictiveController

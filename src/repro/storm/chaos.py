@@ -475,7 +475,6 @@ class ChaosCampaign:
         metrics: bool = False,
         app: str = "",
         controller_factory: Optional[Callable[[], object]] = None,
-        scheduler: str = "heap",
     ) -> None:
         if runs <= 0:
             raise ValueError("runs must be positive")
@@ -494,7 +493,6 @@ class ChaosCampaign:
         self.metrics = metrics
         self.app = app
         self.controller_factory = controller_factory
-        self.scheduler = str(scheduler)
         self.last_obs: Optional[Observability] = None
         #: execution accounting of the latest :meth:`run` (jobs used,
         #: per-run wall-clock, cache hits) — see ``repro.parallel``
@@ -516,7 +514,6 @@ class ChaosCampaign:
             SimulationBuilder(topology)
             .nodes(self.nodes)
             .seed(run_seed)
-            .scheduler(self.scheduler)
             .metrics_interval(self.metrics_interval)
             .faults(schedule)
         )
@@ -572,7 +569,6 @@ class ChaosCampaign:
             metrics=self.metrics,
             topology=self._factory_token(self.topology_factory),
             controller=self._factory_token(self.controller_factory),
-            scheduler=self.scheduler,
             campaign_seed=self.seed,
             run_index=run_index,
             seed=derive_run_seed(self.seed, run_index),

@@ -16,7 +16,6 @@ preserves per-link FIFO order.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple as Tup
@@ -36,7 +35,7 @@ from repro.obs.tracer import (
     TUPLE_TRANSFER,
 )
 from repro.storm.api import Bolt, Emission, OutputCollector, Spout, TopologyContext
-from repro.storm.grouping import DirectGrouping, Grouping, Router
+from repro.storm.grouping import Grouping, Router
 from repro.storm.tuples import DEFAULT_STREAM, SpoutRecord, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -171,37 +170,6 @@ class Transport:
         if dst_worker.node is src_worker.node:
             return self.config.intra_node_latency
         return self.config.inter_node_latency
-
-    def send(self, src_worker: "Worker", dst_task: int, tup: Tuple) -> None:
-        """Deliver one tuple to ``dst_task`` after placement latency.
-
-        .. deprecated:: thin shim over :meth:`deliver`, kept one release
-           for external callers that route tuples one at a time — pass
-           the whole emission to :meth:`deliver`, the single chaos-fault
-           seam.  ``scripts/check_api.py`` forbids in-repo callers.
-        """
-        warnings.warn(
-            "Transport.send is deprecated; use Transport.deliver",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.deliver(src_worker, ((dst_task, tup),))
-
-    def send_batch(
-        self, src_worker: "Worker", sends: List[Tup[int, Tuple]]
-    ) -> None:
-        """Deliver several tuples emitted back-to-back.
-
-        .. deprecated:: thin shim over :meth:`deliver` (the semantics
-           moved there unchanged); call :meth:`deliver` directly.
-           ``scripts/check_api.py`` forbids in-repo callers.
-        """
-        warnings.warn(
-            "Transport.send_batch is deprecated; use Transport.deliver",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.deliver(src_worker, sends)
 
     def deliver(
         self, src_worker: "Worker", sends: List[Tup[int, Tuple]]
@@ -379,11 +347,6 @@ class BaseExecutor:
         self._plans: Dict[str, Optional[Tup[Tup[str, ...], List[Router]]]] = {}
         self._plan_epoch = -1
         self._next_edge = env.next_edge_id  # bound-method cache (hot path)
-        #: frozen per-tuple twin of the data plane, for benchmarking the
-        #: batched fast path against the exact pre-batching event shape
-        self._pertuple = (
-            getattr(config, "data_plane", "batched") == "pertuple"
-        )
         # service-noise hot path: sigma is static config, the bound rng
         # method skips one attribute hop per draw (draw order unchanged)
         self._noise_sigma = float(config.service_noise_sigma)
@@ -422,14 +385,8 @@ class BaseExecutor:
         fresh tree; the bolt path has already registered them per root).
 
         Routing runs through the compiled per-stream plan (see
-        :meth:`_compile_plan`); under ``config.data_plane ==
-        "pertuple"`` it instead takes the frozen per-tuple twin, which
-        reproduces the pre-compilation polymorphic dispatch exactly.
+        :meth:`_compile_plan`).
         """
-        if self._pertuple:
-            return self._route_emission_pertuple(
-                values, stream, roots, direct_task
-            )
         sends: List[Tup[int, Tuple]] = []
         edges = self._route_collect(values, stream, roots, direct_task, sends)
         # One deliver() per emission: same-latency targets share delivery
@@ -445,9 +402,8 @@ class BaseExecutor:
 
         The plan is ``(declared_fields, [router, ...])`` with one
         compiled router per subscribed consumer, in wiring order — the
-        same order the per-tuple dispatch enumerated, so edge ids and
-        send order are unchanged.  ``None`` is cached for declared
-        streams nobody subscribes to (the tuple evaporates).
+        order that fixes edge ids and send order.  ``None`` is cached
+        for declared streams nobody subscribes to (the tuple evaporates).
         """
         consumers = self.outbound.get(stream)
         if consumers is None:
@@ -516,65 +472,6 @@ class BaseExecutor:
                     ledger_emit(root, edge)
                 sends.append((dst, out))
                 self.emitted_count += 1
-        return edges
-
-    def _route_emission_pertuple(
-        self,
-        values: Tup[Any, ...],
-        stream: str,
-        roots: Tup[int, ...],
-        direct_task: Optional[int] = None,
-    ) -> List[int]:
-        """Frozen per-tuple routing twin (``data_plane="pertuple"``).
-
-        This is the pre-compilation dispatch body, kept verbatim as the
-        benchmark baseline for the compiled fast path: per-consumer
-        isinstance checks, probe-tuple construction for content-aware
-        groupings, and one :meth:`Transport.deliver` per emission.
-        """
-        consumers = self.outbound.get(stream)
-        if consumers is None:
-            if stream not in self.declared_outputs:
-                raise ValueError(
-                    f"{self.component_id!r} emitted on undeclared stream "
-                    f"{stream!r} (declared: {sorted(self.declared_outputs)})"
-                )
-            return []  # declared but nobody subscribed: tuple evaporates
-        fields = self.declared_outputs.get(stream, ())
-        edges: List[int] = []
-        sends: List[Tup[int, Tuple]] = []
-        for _consumer_id, grouping in consumers:
-            if isinstance(grouping, DirectGrouping):
-                if direct_task is None:
-                    raise ValueError(
-                        f"{self.component_id!r}: direct grouping on stream "
-                        f"{stream!r} requires emit(..., direct_task=)"
-                    )
-                targets = grouping.choose_direct(direct_task)
-            elif grouping.content_free:
-                targets = grouping.choose(None)  # hot path: no probe tuple
-            else:
-                probe = Tuple(
-                    values=values,
-                    stream=stream,
-                    source_component=self.component_id,
-                    source_task=self.task_id,
-                    fields=fields,
-                )
-                targets = grouping.choose(probe)
-            for dst in targets:
-                edge = self._next_edge()
-                edges.append(edge)
-                out = Tuple(
-                    values, stream, self.component_id, self.task_id,
-                    edge, roots, self.env.now, None, fields,
-                )
-                for root in roots:
-                    self.ledger.emit(root, edge)
-                sends.append((dst, out))
-                self.emitted_count += 1
-        if sends:
-            self.transport.deliver(self.worker, sends)
         return edges
 
     def purge_queue(self, ledger: Optional["AckLedger"] = None) -> int:
@@ -808,7 +705,6 @@ class BoltExecutor(BaseExecutor):
         self.bolt.prepare(self.context)
         queue = self.queue
         take_nowait = queue.take_nowait
-        pertuple = self._pertuple
         begin = self._begin_service
         finish = self._finish_service
         timeout = self.env.timeout
@@ -823,7 +719,7 @@ class BoltExecutor(BaseExecutor):
                 # (nothing yielded, so the gate cannot have changed).
                 # The service timeout below is then the loop's single
                 # rescheduling event per tuple.
-                envelope = None if pertuple else take_nowait()
+                envelope = take_nowait()
                 if envelope is None:
                     envelope = yield queue.get()
                     gate = self.worker.pause_gate()
@@ -890,15 +786,10 @@ class BoltExecutor(BaseExecutor):
         else:
             self.bolt.execute(tup, self.collector)
         emissions, acked, failed = self.collector.drain()
-        # Batched mode funnels every emission of this execute() into one
-        # deliver() call: the per-emission send groups land back-to-back
-        # in list order, exactly the order their separate deliveries
-        # would have popped in (consecutive sequence numbers, same
-        # timestamps), and the chaos streams draw per tuple in the same
-        # list order either way.
-        sends: Optional[List[Tup[int, Tuple]]] = (
-            None if self._pertuple else []
-        )
+        # Every emission of this execute() funnels into one deliver()
+        # call: the per-emission send groups land back-to-back in list
+        # order, and the chaos streams draw per tuple in that order.
+        sends: List[Tup[int, Tuple]] = []
         for values, stream, anchors, direct_task in emissions:
             anchor_roots: Tup[int, ...]
             if anchors:
@@ -910,12 +801,9 @@ class BoltExecutor(BaseExecutor):
                 anchor_roots = tuple(seen)
             else:
                 anchor_roots = ()
-            if sends is None:
-                self.route_emission(values, stream, anchor_roots, direct_task)
-            else:
-                self._route_collect(
-                    values, stream, anchor_roots, direct_task, sends
-                )
+            self._route_collect(
+                values, stream, anchor_roots, direct_task, sends
+            )
         if sends:
             self.transport.deliver(self.worker, sends)
         for t in acked:

@@ -234,11 +234,10 @@ class SimulationResult:
 class StormSimulation:
     """Owns one environment + cluster + topology and runs it.
 
-    .. deprecated:: direct keyword construction
-        This constructor remains as a compatibility shim; build through
-        :class:`~repro.storm.builder.SimulationBuilder` instead, which
-        carries the same options plus controller attachment and
-        observability without growing this signature further.
+    The constructor is the wiring
+    :meth:`~repro.storm.builder.SimulationBuilder.build` calls; build
+    through the builder, which adds controller attachment, chaos
+    schedules and SLO policies on top of these options.
     """
 
     def __init__(
@@ -249,12 +248,11 @@ class StormSimulation:
         metrics_interval: float = 1.0,
         faults: Sequence[Fault] = (),
         observability: Union[ObservabilityConfig, Observability, None] = None,
-        scheduler: str = "heap",
     ) -> None:
         # Edge ids are per-Environment (each counter starts at 1), so
         # back-to-back simulations in one process stay independent.
         self.obs = Observability(observability)
-        self.env = Environment(queue=scheduler)
+        self.env = Environment()
         if self.obs.profiler is not None:
             self.env.set_profiler(self.obs.profiler)
         self.cluster = Cluster(

@@ -56,24 +56,12 @@ class TopologyConfig:
     #: ``"shed"`` drops tuples arriving at a full executor queue, failing
     #: their trees immediately (load-shedding deployments).
     overflow_policy: str = "buffer"
-    #: Data-plane implementation: ``"batched"`` (default) services
-    #: same-tick queue backlogs without per-tuple consumer events and
-    #: routes through compiled per-stream tables; ``"pertuple"`` is the
-    #: frozen pre-optimisation twin (one event and one polymorphic
-    #: dispatch per tuple), kept as the benchmark baseline.  Both
-    #: produce identical simulation results.
-    data_plane: str = "batched"
 
     def validate(self) -> None:
         if self.overflow_policy not in ("buffer", "shed"):
             raise ValueError(
                 f"overflow_policy must be 'buffer' or 'shed', "
                 f"got {self.overflow_policy!r}"
-            )
-        if self.data_plane not in ("batched", "pertuple"):
-            raise ValueError(
-                f"data_plane must be 'batched' or 'pertuple', "
-                f"got {self.data_plane!r}"
             )
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")

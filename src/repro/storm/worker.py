@@ -16,8 +16,7 @@ actuation is *compositional*: slowdowns stack multiplicatively via
 :meth:`hold_slowdown`/:meth:`release_slowdown` and pauses/crashes hold a
 shared gate via reference counting, so overlapping faults on the same
 worker restore the original state no matter the order their windows
-close in.  The legacy :meth:`set_slow_factor`/:meth:`pause`/:meth:`resume`
-surface still sets/clears a *base* state idempotently.
+close in.
 """
 
 from __future__ import annotations
@@ -40,9 +39,7 @@ class Worker:
         self.worker_id = worker_id
         self.node = node
         self.executors: List["BaseExecutor"] = []
-        self._base_slow = 1.0
         self._slow_holds: List[float] = []
-        self._base_paused = False
         self._pause_holds = 0
         self.crashed = False
         self.crash_count = 0
@@ -55,17 +52,11 @@ class Worker:
 
     @property
     def slow_factor(self) -> float:
-        """Effective service-time dilation: base × every active overlay."""
-        factor = self._base_slow
+        """Effective service-time dilation: the product of active holds."""
+        factor = 1.0
         for f in self._slow_holds:
             factor *= f
         return factor
-
-    def set_slow_factor(self, factor: float) -> None:
-        """Set the *base* dilation for this worker's service times (>= 1)."""
-        if factor < 1.0:
-            raise ValueError(f"slow factor must be >= 1, got {factor}")
-        self._base_slow = factor
 
     def hold_slowdown(self, factor: float) -> None:
         """Stack one slowdown overlay (fault window opening)."""
@@ -76,16 +67,6 @@ class Worker:
     def release_slowdown(self, factor: float) -> None:
         """Remove one matching overlay (fault window closing, any order)."""
         self._slow_holds.remove(factor)
-
-    def pause(self) -> None:
-        """Freeze tuple processing (idempotent base pause)."""
-        self._base_paused = True
-        self._ensure_gate()
-
-    def resume(self) -> None:
-        """Clear the base pause; blocked executors continue if unblocked."""
-        self._base_paused = False
-        self._maybe_release()
 
     def hold_pause(self) -> None:
         """Add one pause hold (reference counted, for overlapping faults)."""
@@ -132,10 +113,10 @@ class Worker:
 
     @property
     def paused(self) -> bool:
-        return self._base_paused or self._pause_holds > 0
+        return self._pause_holds > 0
 
     def _blocked(self) -> bool:
-        return self._base_paused or self._pause_holds > 0 or self.crashed
+        return self._pause_holds > 0 or self.crashed
 
     def _ensure_gate(self) -> None:
         if self._resume_event is None:

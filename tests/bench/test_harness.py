@@ -5,9 +5,7 @@ import json
 import pytest
 
 from repro.bench.harness import (
-    LEGACY_SUFFIX,
     SCHEMA,
-    SERIAL_SUFFIX,
     TWIN_SUFFIXES,
     main,
     run_benchmarks,
@@ -15,7 +13,7 @@ from repro.bench.harness import (
     time_benchmark_pair,
     write_report,
 )
-from repro.bench.hotpaths import BENCHMARKS, SCALES
+from repro.bench.hotpaths import BENCHMARKS, SCALES, _minibatch_updates
 
 RESULT_KEYS = {"median_s", "repeats_s", "work_units", "units_per_s"}
 
@@ -60,25 +58,24 @@ def test_time_benchmark_pair_interleaves_and_returns_min_ratio():
     assert ratio > 1.0  # b does twice a's work
 
 
-def test_run_benchmarks_monitor_pair_smoke(tmp_path):
+def test_run_benchmarks_minibatch_pair_smoke(tmp_path):
     report = run_benchmarks(
         scale="smoke",
         warmup=1,
         repeats=2,
-        only=["monitor_observe_extract", "monitor_observe_extract_legacy"],
+        only=["drnn_minibatch", "drnn_minibatch_fullbatch"],
     )
     assert report["schema"] == SCHEMA
     assert report["scale"] == "smoke"
     assert report["protocol"]["repeats"] == 2
     assert set(report["results"]) == {
-        "monitor_observe_extract",
-        "monitor_observe_extract_legacy",
+        "drnn_minibatch",
+        "drnn_minibatch_fullbatch",
     }
     for res in report["results"].values():
         assert res["median_s"] > 0.0
-        assert res["work_units"] == SCALES["smoke"]["monitor_intervals"]
-    assert "monitor_observe_extract" in report["speedups"]
-    assert report["speedups"]["monitor_observe_extract"] > 0.0
+        assert res["work_units"] == _minibatch_updates(SCALES["smoke"])
+    assert report["speedups"]["drnn_minibatch"] > 0.0
     out = tmp_path / "bench.json"
     write_report(report, str(out))
     assert json.loads(out.read_text())["schema"] == SCHEMA
@@ -126,16 +123,10 @@ def test_run_benchmarks_rejects_unknown_inputs():
 
 
 def test_twin_names_pair_with_current_benchmarks():
-    twins = {
-        n for n in BENCHMARKS
-        if n.endswith(LEGACY_SUFFIX) or n.endswith(SERIAL_SUFFIX)
-    }
-    assert twins  # the harness must ship its frozen baselines
-    assert LEGACY_SUFFIX in TWIN_SUFFIXES and SERIAL_SUFFIX in TWIN_SUFFIXES
+    twins = {n for n in BENCHMARKS if n.endswith(TWIN_SUFFIXES)}
+    assert {n[n.rindex("_"):] for n in twins} == set(TWIN_SUFFIXES)
     for name in twins:
-        for suffix in TWIN_SUFFIXES:
-            if name.endswith(suffix):
-                assert name[: -len(suffix)] in BENCHMARKS
+        assert name[: name.rindex("_")] in BENCHMARKS
 
 
 def test_cli_writes_report(tmp_path):
@@ -143,10 +134,10 @@ def test_cli_writes_report(tmp_path):
     rc = main(
         [
             "--scale", "smoke", "--repeats", "1", "--out", str(out),
-            "--only", "des_event_loop", "des_event_loop_legacy",
+            "--only", "drnn_minibatch", "drnn_minibatch_fullbatch",
         ]
     )
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["schema"] == SCHEMA
-    assert "des_event_loop" in doc["speedups"]
+    assert "drnn_minibatch" in doc["speedups"]

@@ -16,10 +16,10 @@ def test_cq_controller_detects_and_sheds():
     fault = SlowdownFault(start=40, duration=80, worker_id=2, factor=15)
     sim = StormSimulation(topo, seed=9, faults=[fault])
     ctrl = PredictiveController(
-        sim,
         PerformancePredictor(None, window=4),
         ControllerConfig(control_interval=5.0, window=4),
     )
+    sim.attach(ctrl)
     res = sim.run(duration=120)
     flagged = {w for _t, w, kind in ctrl.flag_intervals() if kind == "flag"}
     assert flagged == {2}

@@ -16,7 +16,9 @@ def make_sim(faults=(), seed=3, rate=200):
 
 def reactive(sim, **cfg_kw):
     cfg = ControllerConfig(control_interval=5.0, window=4, **cfg_kw)
-    return PredictiveController(sim, PerformancePredictor(None, window=4), cfg)
+    ctrl = PredictiveController(PerformancePredictor(None, window=4), cfg)
+    sim.attach(ctrl)
+    return ctrl
 
 
 def test_requires_dynamic_edge():
@@ -28,13 +30,13 @@ def test_requires_dynamic_edge():
 
 def test_unknown_edge_rejected():
     sim = make_sim()
+    ctrl = PredictiveController(
+        PerformancePredictor(None, window=4),
+        ControllerConfig(window=4),
+        edges=[("ghost", "count", "default")],
+    )
     with pytest.raises(KeyError):
-        PredictiveController(
-            sim,
-            PerformancePredictor(None, window=4),
-            ControllerConfig(window=4),
-            edges=[("ghost", "count", "default")],
-        )
+        sim.attach(ctrl)
 
 
 def test_no_false_flags_on_healthy_run():
@@ -114,11 +116,11 @@ def test_online_fit_trains_mid_run():
     sim = make_sim()
     pred = PerformancePredictor(SVRegressor(C=5.0), window=4)
     ctrl = PredictiveController(
-        sim,
         pred,
         ControllerConfig(control_interval=5.0, window=4),
         online_fit_after=8,
     )
+    sim.attach(ctrl)
     assert not pred.fitted
     sim.run(duration=90)
     assert pred.fitted

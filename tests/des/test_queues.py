@@ -1,177 +1,33 @@
-"""The pluggable EventQueue API: protocol, registry, and scheduler parity.
+"""HeapQueue: the kernel's one event queue, also behind PriorityStore.
 
-The load-bearing property here is pop-order equivalence: the calendar
-queue must release entries in exactly the heap's ``(time, priority,
-seq)`` order on *any* interleaving of pushes and pops — including exact
-ties, backwards keys (PriorityStore rewinds), and the resize/rewind
-paths — because the whole scheduler API is sold as a pure performance
-knob with byte-identical results.
+The load-bearing property is the tie-break: entries equal in their
+leading components pop in push (``seq``) order, which is what makes
+same-time events and same-priority store items FIFO (the store side is
+covered in ``test_stores.py``).
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.des import Environment
-from repro.des.queues import (
-    QUEUE_KINDS,
-    CalendarQueue,
-    EventQueue,
-    HeapQueue,
-    WheelQueue,
-    make_queue,
-)
-
-#: every non-heap implementation must match the heap's pop order exactly
-ALT_KINDS = sorted(k for k in QUEUE_KINDS if k != "heap")
-
-# Keys mix continuous values, a coarse grid (frequent exact ties), and
-# negative values (PriorityStore pushes arbitrary priorities).
-_KEYS = st.one_of(
-    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-    st.integers(min_value=-5, max_value=5).map(lambda k: 10.0 * k),
-    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-)
-
-# A program is a list of steps: (True, key, prio) pushes, False pops.
-_STEPS = st.lists(
-    st.one_of(
-        st.tuples(st.just(True), _KEYS, st.sampled_from([0, 1, 1, 1, 2])),
-        st.just(False),
-    ),
-    max_size=300,
-)
+from repro.des.queues import HeapQueue
 
 
-@pytest.mark.parametrize("kind", ALT_KINDS)
-@settings(max_examples=120, deadline=None)
-@given(steps=_STEPS)
-def test_alt_queues_match_heap_on_arbitrary_interleavings(kind, steps):
-    heap, cal = HeapQueue(), make_queue(kind)
-    seq = 0
-    for step in steps:
-        if step is False:
-            if not heap:
-                continue
-            assert cal.pop() == heap.pop()
-        else:
-            _, key, prio = step
-            seq += 1
-            entry = (key, prio, seq, None)
-            heap.push(entry)
-            cal.push(entry)
-        assert len(cal) == len(heap)
-        assert cal.peek() == heap.peek()
-    while heap:
-        assert cal.pop() == heap.pop()
-    assert not cal
-
-
-@pytest.mark.parametrize("kind", ALT_KINDS)
-@settings(max_examples=60, deadline=None)
-@given(
-    keys=st.lists(_KEYS, max_size=200),
-    churn=st.integers(min_value=0, max_value=100),
-)
-def test_bulk_load_matches_incremental_and_heap(kind, keys, churn):
-    entries = [(key, 1, seq, None) for seq, key in enumerate(keys)]
-    heap = HeapQueue(entries)
-    cal = QUEUE_KINDS[kind](entries)
-    seq = len(entries)
-    # Hold cycles exercise the steady-state push/pop mix on the loaded ring.
-    for _ in range(min(churn, len(entries))):
-        popped = heap.pop()
-        assert cal.pop() == popped
-        seq += 1
-        entry = (popped[0] + 1.0, 1, seq, None)
-        heap.push(entry)
-        cal.push(entry)
-    while heap:
-        assert cal.pop() == heap.pop()
-    assert not cal
-
-
-def test_resize_grows_and_shrinks_through_geometry():
-    cal = CalendarQueue()
-    start = cal._geometry()["buckets"]
-    entries = [(float(i % 97) * 3.0, 1, i, None) for i in range(5000)]
-    for entry in entries:
-        cal.push(entry)
-    grown = cal._geometry()["buckets"]
-    assert grown > start
-    order = [cal.pop() for _ in range(len(entries))]
-    assert order == sorted(entries)
-    assert cal._geometry()["buckets"] < grown  # drain shrank the ring
-
-
-@pytest.mark.parametrize("kind", sorted(QUEUE_KINDS))
-def test_empty_queue_contract(kind):
-    queue = make_queue(kind)
+def test_empty_queue_contract():
+    queue = HeapQueue()
     assert len(queue) == 0
     assert not queue
     assert queue.peek() == float("inf")
     with pytest.raises(IndexError):
         queue.pop()
-    assert queue.kind == kind
-    assert isinstance(queue, EventQueue)
 
 
-def test_make_queue_default_and_passthrough():
-    assert isinstance(make_queue(), HeapQueue)
-    assert isinstance(make_queue(None), HeapQueue)
-    prebuilt = CalendarQueue()
-    assert make_queue(prebuilt) is prebuilt
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        make_queue("fibonacci")
-    with pytest.raises(TypeError):
-        make_queue(42)
+def test_heap_pops_in_tuple_order_with_fifo_ties():
+    entries = [
+        (2.0, 1, 1, "a"), (1.0, 1, 2, "b"), (1.0, 0, 3, "c"),
+        (1.0, 1, 4, "d"), (-5.0, 1, 5, "e"),
+    ]
+    queue = HeapQueue(entries[:2])  # bulk load, then incremental pushes
+    for entry in entries[2:]:
+        queue.push(entry)
+    assert queue.peek() == -5.0
+    assert [queue.pop()[3] for _ in entries] == ["e", "c", "b", "d", "a"]
 
-
-def test_calendar_constructor_validation():
-    with pytest.raises(ValueError, match="width"):
-        CalendarQueue(width=0.0)
-    with pytest.raises(ValueError, match="power of two"):
-        CalendarQueue(buckets=12)
-
-
-def test_wheel_constructor_validation():
-    with pytest.raises(ValueError, match="width"):
-        WheelQueue(width=0.0)
-    with pytest.raises(ValueError, match="power of two"):
-        WheelQueue(slots=100)
-
-
-def test_wheel_overflow_and_rebase():
-    # Entries beyond the wheel's horizon go to the overflow heap and are
-    # drained back into buckets once the in-window entries are consumed.
-    wheel = WheelQueue(width=1.0, slots=4)  # horizon: 4 days
-    near = [(float(i), 1, i + 1, None) for i in range(4)]
-    far = [(100.0 + i, 1, 10 + i, None) for i in range(3)]
-    for entry in near + far:
-        wheel.push(entry)
-    geo = wheel._geometry()
-    assert geo["overflow"] == 3 and geo["wheel_size"] == 4
-    assert [wheel.pop() for _ in range(7)] == sorted(near + far)
-    assert not wheel
-
-
-def test_wheel_rebuilds_on_push_below_base():
-    # PriorityStore pushes arbitrary (even negative) keys: a push below
-    # the anchored window must rebuild, not lose order.
-    wheel = WheelQueue(width=1.0, slots=4)
-    wheel.push((10.0, 1, 1, None))
-    wheel.push((-5.0, 1, 2, None))
-    wheel.push((3.0, 1, 3, None))
-    assert wheel.peek() == -5.0
-    assert [wheel.pop()[0] for _ in range(3)] == [-5.0, 3.0, 10.0]
-
-
-def test_environment_exposes_scheduler_and_new_queue():
-    env = Environment(queue="calendar")
-    assert env.scheduler == "calendar"
-    assert isinstance(env.new_queue(), CalendarQueue)
-    default = Environment()
-    assert default.scheduler == "heap"
-    assert isinstance(default.new_queue(), HeapQueue)
-    injected = Environment(queue=HeapQueue())
-    assert injected.scheduler == "heap"

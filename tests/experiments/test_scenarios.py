@@ -125,16 +125,16 @@ class TestGoldenByteIdentity:
         summary_to_json(report.summary(), out)
         return out.read_text()
 
-    def test_serial_heap_matches_golden(self, tmp_path):
+    def test_serial_matches_golden(self, tmp_path):
         assert self._bytes(tmp_path) == GOLDEN.read_text(), (
             "scenario campaign drifted from "
             "tests/golden/elasticity_smoke.json; if intentional, "
             "regenerate it (see module docstring) and commit"
         )
 
-    def test_sharded_calendar_matches_golden(self, tmp_path):
-        got = self._bytes(tmp_path, jobs=2, scheduler="calendar")
+    def test_sharded_matches_golden(self, tmp_path):
+        got = self._bytes(tmp_path, jobs=2)
         assert got == GOLDEN.read_text(), (
-            "scenario report depends on jobs/scheduler — the "
+            "scenario report depends on jobs — the "
             "byte-determinism contract is broken"
         )

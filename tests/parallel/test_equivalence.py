@@ -23,7 +23,7 @@ ONLINE_GOLDEN = (
 )
 
 
-def _online_campaign(jobs=1, cache=None, scheduler="heap"):
+def _online_campaign(jobs=1, cache=None):
     """Online-retraining arm: the DRNN is refit *inside* each run."""
     return run_chaos_campaign(
         app="url_count",
@@ -38,7 +38,6 @@ def _online_campaign(jobs=1, cache=None, scheduler="heap"):
         retrain_interval=20.0,
         jobs=jobs,
         cache=cache,
-        scheduler=scheduler,
     )
 
 

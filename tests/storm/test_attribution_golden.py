@@ -3,11 +3,9 @@
 ``tests/golden/attribution_smoke.json`` holds the per-run ``attribution``
 sections of a small traced chaos campaign (2 × 60 s of ``url_count``
 under two message-loss faults, so replay subtrees are exercised).  The
-campaign is replayed here under the heap scheduler, the calendar
-scheduler, the timing-wheel scheduler, and sharded across two worker
-processes — all four must
-reproduce the golden *byte-for-byte*, pinning both the determinism of
-the trace pipeline and the bitwise exact-sum invariant
+campaign is replayed here serially and sharded across two worker
+processes — both must reproduce the golden *byte-for-byte*, pinning
+the determinism of the trace pipeline and the bitwise exact-sum invariant
 (``exact: true`` inside the golden is the acker-latency identity
 holding for every one of the ~14k attributed trees).
 
@@ -42,7 +40,7 @@ GOLDEN = (
 )
 
 
-def campaign_attribution(scheduler: str, jobs: int) -> str:
+def campaign_attribution(jobs: int) -> str:
     report = run_chaos_campaign(
         app="url_count",
         spec=ChaosSpec(crashes=0, losses=2),
@@ -53,7 +51,6 @@ def campaign_attribution(scheduler: str, jobs: int) -> str:
         trace=True,
         trace_capacity=1 << 20,
         metrics=True,
-        scheduler=scheduler,
         jobs=jobs,
     )
     return report_to_json({
@@ -63,16 +60,12 @@ def campaign_attribution(scheduler: str, jobs: int) -> str:
     })
 
 
-@pytest.mark.parametrize(
-    "scheduler,jobs",
-    [("heap", 1), ("calendar", 1), ("wheel", 1), ("heap", 2)],
-    ids=["heap-serial", "calendar-serial", "wheel-serial", "heap-jobs2"],
-)
-def test_attribution_matches_golden(scheduler, jobs):
-    assert campaign_attribution(scheduler, jobs) == GOLDEN.read_text(), (
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "jobs2"])
+def test_attribution_matches_golden(jobs):
+    assert campaign_attribution(jobs) == GOLDEN.read_text(), (
         "span-tree attribution drifted from "
         "tests/golden/attribution_smoke.json under "
-        f"scheduler={scheduler} jobs={jobs}; if intentional, regenerate "
+        f"jobs={jobs}; if intentional, regenerate "
         "it (see module docstring) and commit"
     )
 

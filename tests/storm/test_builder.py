@@ -129,6 +129,19 @@ def test_builder_observability_config_object():
     assert sim.obs.config is cfg
 
 
+def test_removed_selector_options_are_rejected(capsys):
+    """One event queue, one data plane: nothing is left to select."""
+    from repro.__main__ import main
+
+    with pytest.raises(TypeError):
+        TopologyConfig(data_plane="pertuple")
+    assert not hasattr(SimulationBuilder(make_topology()), "scheduler")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["chaos", "--scheduler", "wheel"])
+    assert exc_info.value.code == 2
+    assert "--scheduler" in capsys.readouterr().err
+
+
 # -- explicit attachment ------------------------------------------------------------
 
 
@@ -153,20 +166,13 @@ def test_double_attach_rejected():
         other.attach(ctrl)
 
 
-def test_legacy_constructor_signature_still_attaches():
-    sim = SimulationBuilder(make_topology(dynamic=True, workers=4)).build()
-    ctrl = PredictiveController(
-        sim,
-        PerformancePredictor(None, window=3),
-        ControllerConfig(control_interval=2.0, window=3),
-    )
-    assert ctrl.attached
-    assert sim.controller is ctrl
-
-
 def test_controller_requires_predictor():
     with pytest.raises(TypeError, match="PerformancePredictor"):
         PredictiveController("nope")
+    # the old implicit-attach form (sim, predictor, ...) is gone
+    sim = SimulationBuilder(make_topology(dynamic=True, workers=4)).build()
+    with pytest.raises(TypeError, match="PerformancePredictor"):
+        PredictiveController(sim, PerformancePredictor(None, window=3))
 
 
 # -- Series & summaries ---------------------------------------------------------------

@@ -100,15 +100,18 @@ def test_worker_pause_resume_gate():
     node = Node(env, "n")
     w = Worker(env, 0, node)
     assert w.pause_gate() is None
-    w.pause()
+    w.hold_pause()
     gate = w.pause_gate()
     assert gate is not None and not gate.triggered
-    w.pause()  # idempotent
+    w.hold_pause()  # overlapping fault: same gate, second hold
     assert w.pause_gate() is gate
-    w.resume()
+    w.release_pause()
+    assert not gate.triggered  # one hold still active
+    w.release_pause()
     assert gate.triggered
     assert w.pause_gate() is None
-    w.resume()  # idempotent
+    with pytest.raises(RuntimeError):
+        w.release_pause()  # nothing left to release
 
 
 def test_worker_slow_factor_validation():
@@ -117,8 +120,11 @@ def test_worker_slow_factor_validation():
     env = Environment()
     w = Worker(env, 0, Node(env, "n"))
     with pytest.raises(ValueError):
-        w.set_slow_factor(0.5)
-    w.set_slow_factor(3.0)
-    assert w.is_misbehaving
-    w.set_slow_factor(1.0)
-    assert not w.is_misbehaving
+        w.hold_slowdown(0.5)
+    w.hold_slowdown(3.0)
+    w.hold_slowdown(2.0)
+    assert w.slow_factor == 6.0 and w.is_misbehaving
+    w.release_slowdown(3.0)  # windows may close in any order
+    assert w.slow_factor == 2.0
+    w.release_slowdown(2.0)
+    assert w.slow_factor == 1.0 and not w.is_misbehaving

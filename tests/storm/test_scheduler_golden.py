@@ -1,32 +1,22 @@
-"""Scheduler-choice golden pins: byte-identical results under any queue.
+"""Cluster-scale golden pin: the 100-node / 2000-executor summary.
 
-Two guarantees ride on the pluggable EventQueue API (see
-``docs/scheduler.md``):
+A 100-node / 2000-executor URL-count run must reproduce
+``tests/golden/cluster_scale.json`` exactly — the largest topology in
+the suite, pinned so a kernel or data-plane change cannot trade
+determinism for speed at the scale where event density is highest.
+(The chaos-smoke and online-retraining goldens are replayed in
+``test_chaos_golden.py`` and ``tests/parallel/test_equivalence.py``.)
 
-* the chaos-smoke golden (``tests/golden/chaos_smoke.json``) must be
-  reproduced byte-for-byte with ``scheduler="calendar"`` and
-  ``scheduler="wheel"`` — the same campaign the heap-backed golden
-  test replays;
-* a 100-node / 2000-executor cluster run (``tests/golden/
-  cluster_scale.json``) must produce the same summary under every
-  scheduler — the alternative queues' target regime, pinned so a
-  future "optimisation" cannot trade determinism for speed at exactly
-  the scale the ``cluster_scale`` benchmark quotes.
-
-Regenerate ``cluster_scale.json`` by running ``_cluster_summary`` (either
-scheduler — the point is they agree) and dumping it with
-``json.dump(..., sort_keys=True, indent=2)`` plus a trailing newline.
+Regenerate ``cluster_scale.json`` by running ``_cluster_summary`` and
+dumping it with ``json.dump(..., sort_keys=True, indent=2)`` plus a
+trailing newline.
 """
 
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.apps import build_url_count_topology
-from repro.experiments.reliability import run_chaos_campaign
-from repro.obs.export import summary_to_json
-from repro.storm import ChaosSpec, SimulationBuilder
+from repro.storm import SimulationBuilder
 from repro.storm.cluster import NodeSpec
 from repro.storm.topology import TopologyConfig
 
@@ -36,56 +26,7 @@ CLUSTER_NODES = 100
 CLUSTER_EXECUTORS = 2000
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "wheel"])
-def test_chaos_smoke_golden_holds_under_alt_schedulers(tmp_path, scheduler):
-    report = run_chaos_campaign(
-        app="url_count",
-        spec=ChaosSpec(crashes=1, losses=1),
-        seed=7,
-        runs=3,
-        horizon=90.0,
-        base_rate=120.0,
-        scheduler=scheduler,
-    )
-    out = tmp_path / f"chaos_smoke_{scheduler}.json"
-    summary_to_json(report.summary(), out)
-    golden = (GOLDEN_DIR / "chaos_smoke.json").read_text()
-    assert out.read_text() == golden, (
-        f"{scheduler} scheduler diverged from the heap-backed golden — "
-        "the EventQueue implementations no longer pop the same order"
-    )
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("scheduler", ["calendar", "wheel"])
-def test_online_retraining_golden_holds_under_alt_schedulers(
-    tmp_path, scheduler
-):
-    # Heaviest per-event payload in the suite: in-sim DRNN refits riding
-    # on an alternative queue must still pop the identical event order.
-    report = run_chaos_campaign(
-        app="url_count",
-        spec=ChaosSpec(crashes=1, losses=0),
-        seed=11,
-        runs=2,
-        horizon=80.0,
-        base_rate=120.0,
-        control="online",
-        control_interval=5.0,
-        window=4,
-        retrain_interval=20.0,
-        scheduler=scheduler,
-    )
-    out = tmp_path / f"online_{scheduler}.json"
-    summary_to_json(report.summary(), out)
-    golden = (GOLDEN_DIR / "online_retraining.json").read_text()
-    assert out.read_text() == golden, (
-        f"{scheduler} scheduler diverged from the heap-backed online-"
-        "retraining golden — schedulers no longer pop the same order"
-    )
-
-
-def _cluster_summary(scheduler: str) -> dict:
+def _cluster_summary() -> dict:
     topology = build_url_count_topology(
         spout_parallelism=100,
         parse_parallelism=900,
@@ -101,20 +42,14 @@ def _cluster_summary(scheduler: str) -> dict:
             for i in range(CLUSTER_NODES)
         ])
         .seed(7)
-        .scheduler(scheduler)
         .build()
     )
     return sim.run(duration=5.0).summary()
 
 
-def test_cluster_scale_summary_pinned_under_all_schedulers():
+def test_cluster_scale_summary_pinned():
     golden = json.loads((GOLDEN_DIR / "cluster_scale.json").read_text())
-    heap = _cluster_summary("heap")
-    for alt in ("calendar", "wheel"):
-        assert json.dumps(heap, sort_keys=True) == json.dumps(
-            _cluster_summary(alt), sort_keys=True
-        ), f"heap and {alt} schedulers disagree at cluster scale"
-    assert json.dumps(heap, sort_keys=True) == json.dumps(
+    assert json.dumps(_cluster_summary(), sort_keys=True) == json.dumps(
         golden, sort_keys=True
     ), (
         "cluster-scale run drifted from tests/golden/cluster_scale.json; "

@@ -141,30 +141,6 @@ def test_deliver_skips_crashed_destination():
     assert t.queues[12].level == 0
 
 
-# --- deprecated shims -------------------------------------------------------------
-
-
-def test_send_shim_warns_and_delivers():
-    env, t, (w0, _w1, _w2) = make_transport()
-    tup = Tuple(values=(1,))
-    with pytest.warns(DeprecationWarning, match="Transport.send is deprecated"):
-        t.send(w0, 12, tup)
-    env.run(until=2e-3)
-    assert [e.tup for e in t.queues[12].items] == [tup]
-
-
-def test_send_batch_shim_warns_and_delivers():
-    env, t, (w0, _w1, _w2) = make_transport()
-    sends = [(11, Tuple(values=(0,))), (12, Tuple(values=(1,)))]
-    with pytest.warns(
-        DeprecationWarning, match="Transport.send_batch is deprecated"
-    ):
-        t.send_batch(w0, sends)
-    env.run(until=1.0)
-    assert t.sent_count == 2
-    assert t.queues[11].level == 1 and t.queues[12].level == 1
-
-
 # --- collector --------------------------------------------------------------------
 
 
