@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """API lint: keep first-party code on the blessed run-API surface.
 
-Three rules, enforced over ``src/``, ``examples/``, ``benchmarks/`` and
-``scripts/`` (tests are exempt: they construct simulations directly to
-cover the wiring):
+Four rules; the first three are enforced over ``src/``, ``examples/``,
+``benchmarks/`` and ``scripts/`` (tests are exempt: they construct
+simulations directly to cover the wiring):
 
 1. **No direct ``StormSimulation(...)`` construction** outside the
    runner/builder modules — new code goes through ``SimulationBuilder``.
@@ -13,6 +13,10 @@ cover the wiring):
 3. **No reaching into the kernel's event queue** — ``._queue`` is the
    environment's private state; callers use ``Environment.schedule`` /
    ``peek`` / ``queue_depth`` instead.
+4. **No unused kernel surface** — every name in ``repro.des.__all__``
+   must be referenced by first-party code under ``src/`` outside
+   ``des/``, so the kernel cannot regrow primitives no simulation uses
+   (tests alone do not keep a primitive alive).
 
 Exit status is non-zero when any violation is found, so CI can gate on
 it.  Run from the repository root::
@@ -22,6 +26,7 @@ it.  Run from the repository root::
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -45,6 +50,9 @@ QUEUE_ACCESS_ALLOWLIST = {
     Path("src/repro/des/environment.py"),
     Path("scripts/check_api.py"),
 }
+
+#: the kernel package whose ``__all__`` rule 4 audits
+DES_PACKAGE = Path("src/repro/des")
 
 CONSTRUCT_RE = re.compile(r"\bStormSimulation\s*\(")
 QUEUE_RE = re.compile(r"\._queue\b")
@@ -95,10 +103,40 @@ def check_file(path: Path) -> List[Violation]:
     return violations
 
 
+def check_des_surface() -> List[Violation]:
+    """Rule 4: names exported by ``repro.des`` that ``src/`` never uses."""
+    rel = DES_PACKAGE / "__init__.py"
+    source = (REPO_ROOT / rel).read_text(encoding="utf-8")
+    exported: List[Tuple[str, int]] = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = [
+                (elt.value, elt.lineno) for elt in node.value.elts  # type: ignore[attr-defined]
+            ]
+    des_root = REPO_ROOT / DES_PACKAGE
+    callers = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        if des_root not in path.parents
+    )
+    return [
+        (
+            rel, lineno, "unused-kernel-surface",
+            f"repro.des exports {name!r} but nothing under src/ outside "
+            "des/ references it; delete it or drop it from __all__",
+        )
+        for name, lineno in exported
+        if not re.search(rf"\b{re.escape(name)}\b", callers)
+    ]
+
+
 def main() -> int:
     violations: List[Violation] = []
     for path in iter_py_files():
         violations.extend(check_file(path))
+    violations.extend(check_des_surface())
     for rel, lineno, rule, msg in violations:
         print(f"{rel}:{lineno}: [{rule}] {msg}")
     if violations:

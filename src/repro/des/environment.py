@@ -9,7 +9,6 @@ a fixed seed).
 
 from __future__ import annotations
 
-from sys import getrefcount
 from typing import TYPE_CHECKING, Any, Generator, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -18,9 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.des.events import (
     LAST,
     NORMAL,
-    URGENT,
-    AllOf,
-    AnyOf,
     Event,
     StopSimulation,
     Timeout,
@@ -54,11 +50,6 @@ class Environment:
         #: optional kernel profiler (see :mod:`repro.obs.profiler`); the
         #: event loop pays one ``is not None`` check per event when unset.
         self._profiler: Optional["KernelProfiler"] = None
-        #: free list of recycled Timeout objects (slot reuse): the run loop
-        #: returns a just-processed Timeout here when the refcount proves no
-        #: one else holds it, and :meth:`timeout` reinitialises it in place
-        #: instead of allocating.  Bounded so a burst cannot pin memory.
-        self._timeout_pool: list = []
         #: last issued edge id (see :meth:`next_edge_id`); starts at 0 so
         #: the first id is 1 in every simulation.
         self._edge_seq = 0
@@ -118,24 +109,7 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires after ``delay`` simulation time.
-
-        Reuses a recycled :class:`Timeout` from the free list when one is
-        available (see ``_timeout_pool``): the object and its callbacks
-        list are reinitialised in place, skipping both allocations on the
-        simulator's hottest creation site.
-        """
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            ev = pool.pop()
-            ev.callbacks = ev._value  # the cleared list stashed at recycle
-            ev._value = value
-            ev.delay = delay
-            self._seq += 1
-            self._qpush((self._now + delay, NORMAL, self._seq, ev))
-            return ev
+        """Create an event that fires after ``delay`` simulation time."""
         return Timeout(self, delay, value)
 
     def process(
@@ -143,12 +117,6 @@ class Environment:
     ) -> Process:
         """Register ``generator`` as a process starting at the current time."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling ---------------------------------------------------------------
 
@@ -232,8 +200,6 @@ class Environment:
                     self.step()
             queue = self._queue
             pop_entry = queue.pop  # a bound C partial; no dispatch cost
-            pool = self._timeout_pool
-            timeout_cls = Timeout
             while queue:
                 self._now, _, _, event = pop_entry()
                 callbacks = event.callbacks
@@ -247,18 +213,6 @@ class Environment:
                         callback(event)
                 if not event._ok and not event._defused:
                     raise event._exc
-                # Slot reuse: a plain Timeout whose refcount proves this
-                # loop holds the only reference (2 = the local + the
-                # getrefcount argument) is dead — recycle the object and
-                # its (cleared) callbacks list for the next `timeout()`.
-                if (
-                    event.__class__ is timeout_cls
-                    and len(pool) < 128
-                    and getrefcount(event) == 2
-                ):
-                    callbacks.clear()
-                    event._value = callbacks
-                    pool.append(event)
             raise EmptySchedule()
         except StopSimulation as sig:
             return sig.value

@@ -15,7 +15,7 @@ final.  Events may only be triggered once.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.des.environment import Environment
@@ -37,23 +37,6 @@ class StopSimulation(Exception):
         self.value = value
 
 
-class Interrupt(Exception):
-    """Thrown *into* a process when :meth:`Process.interrupt` is called.
-
-    The interrupted process receives this exception at its current ``yield``
-    statement and may catch it to handle preemption (the Storm simulator
-    uses interrupts to model worker pauses and kills).
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        """Whatever the interrupting party passed to ``interrupt()``."""
-        return self.args[0]
-
-
 #: sentinel for "no value yet" (module-level: one global load on the hot
 #: paths instead of a class-attribute lookup)
 _PENDING = object()
@@ -69,9 +52,6 @@ class Event:
     """
 
     __slots__ = ("env", "callbacks", "_ok", "_value", "_exc", "_defused")
-
-    #: sentinel for "no value yet" (class alias kept for introspection)
-    _PENDING = _PENDING
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -147,22 +127,6 @@ class Event:
         env._qpush((env._now, priority, env._seq, self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror another (triggered) event's outcome onto this one."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            assert event._exc is not None
-            self.fail(event._exc)
-
-    # -- composition --------------------------------------------------------
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -201,71 +165,3 @@ class Timeout(Event):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
 
-
-class Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf` composite events.
-
-    The condition's value is a dict mapping each *fired* constituent event
-    to its value, in firing order (insertion order of the dict).
-    """
-
-    __slots__ = ("_events", "_remaining", "_results")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events: list[Event] = list(events)
-        self._remaining = 0
-        for ev in self._events:
-            if ev.env is not env:
-                raise ValueError("all events must belong to the same environment")
-        # Immediately evaluate: some constituents may already be processed.
-        results: dict[Event, Any] = {}
-        for ev in self._events:
-            if ev.processed:
-                if not ev._ok:
-                    ev._defused = True
-                    self.fail(ev._exc)  # type: ignore[arg-type]
-                    return
-                results[ev] = ev._value
-            else:
-                self._remaining += 1
-                ev.callbacks.append(self._check)  # type: ignore[union-attr]
-        self._results = results
-        if self._satisfied(len(results)):
-            self.succeed(dict(results))
-
-    # subclass hook ----------------------------------------------------------
-    def _satisfied(self, fired: int) -> bool:
-        raise NotImplementedError
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._exc)  # type: ignore[arg-type]
-            return
-        self._results[event] = event._value
-        if self._satisfied(len(self._results)):
-            self.succeed(dict(self._results))
-
-
-class AnyOf(Condition):
-    """Fires when *any one* of the given events fires."""
-
-    __slots__ = ()
-
-    def _satisfied(self, fired: int) -> bool:
-        return fired >= 1 or not self._events
-
-
-class AllOf(Condition):
-    """Fires when *all* of the given events have fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self, fired: int) -> bool:
-        return fired == len(self._events)
-
-
-Callback = Callable[[Event], None]

@@ -4,7 +4,10 @@ A process function is a generator that ``yield``\\ s :class:`Event` objects;
 the kernel resumes the generator with the event's value when the event is
 processed (or throws the event's exception into it).  The :class:`Process`
 itself is an event that fires when the generator terminates, so processes
-can wait on each other.
+can wait on each other.  There is no preemption: a process runs until its
+next ``yield`` and only the event it waits on can wake it (worker pauses
+and crashes are modelled with gate events and queue purges, not
+interrupts).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.des.events import URGENT, Event, Interrupt, Timeout
+from repro.des.events import URGENT, Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.environment import Environment
@@ -64,54 +67,9 @@ class Process(Event):
         """The event the process currently waits on (for introspection)."""
         return self._target
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        Interrupting a dead process is an error; interrupting a process from
-        itself is also an error (it could never be delivered).
-        """
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self.env.active_process is self:
-            raise RuntimeError("a process cannot interrupt itself")
-        # Deliver via a failed event scheduled URGENT so that the interrupt
-        # wins over whatever the process was waiting for.
-        hit = Event(self.env)
-        hit._ok = False
-        hit._exc = Interrupt(cause)
-        hit._defused = True
-        hit._value = None
-        hit.callbacks.append(self._deliver_interrupt)  # type: ignore[union-attr]
-        self.env.schedule(hit, priority=URGENT)
-
     # -- internals --------------------------------------------------------------
 
-    def _deliver_interrupt(self, event: Event) -> None:
-        if not self.is_alive:
-            return  # process ended between scheduling and delivery
-        # Detach from the current target so the original wakeup (if it still
-        # fires) does not resume us a second time.
-        target = self._target
-        if target is not None:
-            if target.callbacks is not None:
-                try:
-                    target.callbacks.remove(self._resume_cb)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-            if target.triggered:
-                # The operation already committed (e.g. a Store.get that
-                # popped an item at the same instant): undo its side effect
-                # so nothing is lost in flight.
-                orphan = getattr(target, "orphan", None)
-                if orphan is not None:
-                    orphan()
-            else:
-                cancel = getattr(target, "cancel", None)
-                if cancel is not None:
-                    cancel()
-        self._resume(event)
-
-    def _resume(self, event: Optional[Event]) -> None:
+    def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome.
 
         This is the kernel's hottest callback (once per process wakeup),
@@ -129,10 +87,8 @@ class Process(Event):
         send = self._gen.send
         while True:
             try:
-                if event is not None and event._ok:
+                if event._ok:
                     next_ev = send(event._value)
-                elif event is None:
-                    next_ev = send(None)
                 else:
                     # Propagate failure into the generator.
                     event._defused = True

@@ -4,8 +4,6 @@ The environment's schedule is a total order over ``(when, priority,
 seq, payload)`` tuples: lexicographic tuple comparison *is* the
 determinism contract (``seq`` strictly increases with push order, so
 ties at equal time and priority resolve in scheduling order).
-:class:`~repro.des.stores.PriorityStore` keeps its items in the same
-structure, keyed ``(priority, seq, item)``.
 """
 
 from __future__ import annotations
@@ -14,9 +12,8 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Any, Iterable, Tuple
 
-#: A scheduled entry.  ``entry[0]`` is the sort key's leading component
-#: (event time for the kernel, priority for PriorityStore); the full
-#: tuple comparison defines the pop order.
+#: A scheduled entry.  ``entry[0]`` is the event time; the full tuple
+#: comparison defines the pop order.
 Entry = Tuple[Any, ...]
 
 _INF = float("inf")

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core import ControllerConfig, PerformancePredictor, PredictiveController
 from repro.core.monitor import StatsMonitor
-from repro.experiments.traces import ObservabilityLike, build_app_topology
+from repro.experiments.traces import build_app_topology
 from repro.apps import RateProfile
 from repro.models import DRNNRegressor
 from repro.storm import (
@@ -47,6 +47,7 @@ from repro.storm.faults import Fault
 from repro.storm.runner import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs import ObservabilityConfig
     from repro.obs.slo import SLOPolicy
     from repro.storm.runner import StormSimulation
 
@@ -404,7 +405,7 @@ def run_reliability_scenario(
     predictor: Optional[PerformancePredictor] = None,
     control_interval: float = 5.0,
     window: int = 6,
-    observability: ObservabilityLike = None,
+    observability: Optional["ObservabilityConfig"] = None,
     fault_kind: str = "slowdown",
     slo: Optional["SLOPolicy"] = None,
     cache=None,
@@ -498,40 +499,17 @@ def degradation_sweep(
 ) -> Dict[Tuple[str, int], ReliabilityResult]:
     """E7: sweep the number of misbehaving workers across arms.
 
-    The DRNN predictor is trained once per app and shared across the
-    sweep (as the paper's deployment would).  ``jobs`` fans the
-    ``(arm, k)`` grid out across worker processes (``0`` = all cores);
-    sharded results carry ``sim=None``/``controller=None`` — live
-    handles stay in the worker — but every metric is identical to a
-    serial sweep because each cell is an independently seeded scenario.
+    The DRNN predictor is fitted once, serially, and shipped to every
+    DRNN cell (as the paper's deployment would share it; fitted DRNNs
+    are plain numpy state, cheap to pickle).  ``jobs`` fans the
+    ``(arm, k)`` grid out across worker processes (``0`` = all cores,
+    ``1`` runs inline); every cell is an independently seeded scenario,
+    so the metrics do not depend on ``jobs``.  Results carry
+    ``sim=None``/``controller=None`` — live handles cannot cross
+    processes, and the sweep returns one shape at every ``jobs`` value.
     """
-    if jobs == 1:
-        out: Dict[Tuple[str, int], ReliabilityResult] = {}
-        shared_predictor: Optional[PerformancePredictor] = None
-        for arm in arms:
-            for k in ks:
-                if arm == "drnn" and shared_predictor is None:
-                    shared_predictor = train_calibration_predictor(
-                        app,
-                        scenario_kw.get("base_rate", 250.0),
-                        seed,
-                        window=scenario_kw.get("window", 6),
-                    )
-                res = run_reliability_scenario(
-                    app=app,
-                    control=arm,
-                    k_misbehaving=k,
-                    seed=seed,
-                    predictor=shared_predictor if arm == "drnn" else None,
-                    **scenario_kw,
-                )
-                out[(res.label, k)] = res
-        return out
-
     from repro.parallel import RunSpec, run_sharded
 
-    # The predictor is fitted once, serially, then shipped to every DRNN
-    # shard (fitted DRNNs are plain numpy state, cheap to pickle).
     shared_predictor = None
     if "drnn" in arms:
         shared_predictor = train_calibration_predictor(

@@ -10,7 +10,7 @@ E8 and E9; everything is overridable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.apps import (
     RateProfile,
@@ -18,14 +18,11 @@ from repro.apps import (
     build_url_count_topology,
 )
 from repro.core.monitor import StatsMonitor
-from repro.obs import Observability, ObservabilityConfig
+from repro.obs import ObservabilityConfig
 from repro.storm import CpuHogFault, SimulationBuilder, StormSimulation
 from repro.storm.faults import Fault, RampingHogFault
 from repro.storm.runner import SimulationResult
 from repro.storm.topology import TopologyConfig
-
-#: accepted by every experiment entry point's ``observability`` option
-ObservabilityLike = Union[ObservabilityConfig, Observability, None]
 
 APPS = ("url_count", "continuous_query")
 
@@ -128,7 +125,7 @@ def collect_trace(
     faults: Optional[Sequence[Fault]] = None,
     target_feature: str = "avg_process_latency",
     hot: bool = True,
-    observability: ObservabilityLike = None,
+    observability: Optional[ObservabilityConfig] = None,
 ) -> TraceBundle:
     """Run ``app`` for ``duration`` sim-seconds and return its trace.
 

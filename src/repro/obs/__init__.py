@@ -44,7 +44,7 @@ check per event and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.obs.metrics import Counter, Gauge, LogHistogram, MetricsRegistry
 from repro.obs.profiler import KernelProfiler
@@ -126,17 +126,7 @@ class Observability:
     injector, and controller.
     """
 
-    def __init__(
-        self,
-        config: Union[ObservabilityConfig, "Observability", None] = None,
-    ) -> None:
-        if isinstance(config, Observability):  # pass-through (builder reuse)
-            self.config = config.config
-            self.tracer = config.tracer
-            self.profiler = config.profiler
-            self.metrics = config.metrics
-            self.slo = config.slo
-            return
+    def __init__(self, config: Optional[ObservabilityConfig] = None) -> None:
         self.config = config or ObservabilityConfig()
         self.config.validate()
         self.tracer: Optional[Tracer] = (

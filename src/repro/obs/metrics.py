@@ -11,14 +11,18 @@ concrete metric object or ``None``, resolved once at wiring time::
     if hist is not None:
         hist.add(service)
 
+A fact the simulator already counts in a plain attribute (acks, fails,
+transport sends and losses, replays, bolt executes) is not counted a
+second time: the runner registers a *pull* counter or gauge whose
+callback reads the attribute at collection time, which is what makes the
+registry pull-based — nothing is sampled until someone asks.
+
 Three instrument kinds:
 
-* :class:`Counter` — monotonically increasing count (acks, fails,
-  replays, sheds, reroutes).
-* :class:`Gauge` — point-in-time value; *pull* gauges hold a callback
-  evaluated at collection time (DES heap depth, scheduled-event count),
-  which is what makes the registry pull-based: nothing is sampled until
-  someone asks.
+* :class:`Counter` — monotonically increasing count; pushed with ``inc``
+  (controller decisions, reroutes) or pulled through a callback.
+* :class:`Gauge` — point-in-time value, set or pulled (DES heap depth,
+  scheduled-event count).
 * :class:`LogHistogram` — mergeable streaming histogram over
   geometrically spaced buckets.  Constant memory (one int per occupied
   bucket, bucket count bounded by the value range, not the sample
@@ -67,17 +71,29 @@ def _label_key(labels: Dict[str, Any]) -> Tuple[Tuple[str, str], ...]:
 
 
 class Counter:
-    """Monotonic counter.  ``inc`` is the hot path: one add."""
+    """Monotonic counter; ``fn`` makes it a pull counter over a count
+    kept elsewhere.  ``inc`` is the hot path: one add."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "_count", "fn")
 
-    def __init__(self, name: str, labels: Dict[str, Any]) -> None:
+    def __init__(
+        self,
+        name: str,
+        labels: Dict[str, Any],
+        fn: Optional[Callable[[], int]] = None,
+    ) -> None:
         self.name = name
         self.labels = dict(labels)
-        self.value = 0
+        self._count = 0
+        self.fn = fn
 
     def inc(self, amount: int = 1) -> None:
-        self.value += amount
+        self._count += amount
+
+    @property
+    def value(self) -> int:
+        """Current count — evaluates the callback for pull counters."""
+        return self._count if self.fn is None else self.fn()
 
     def __repr__(self) -> str:
         return f"<Counter {self.name}{self.labels or ''} value={self.value}>"
@@ -327,8 +343,14 @@ class MetricsRegistry:
             self._metrics[key] = metric
         return metric
 
-    def counter(self, name: str, **labels: Any) -> Counter:
-        m = self._get_or_create(name, labels, lambda: Counter(name, labels))
+    def counter(
+        self, name: str, fn: Optional[Callable[[], int]] = None, **labels: Any
+    ) -> Counter:
+        """Get or create a counter; ``fn`` (used on creation only) makes
+        it a pull counter evaluated lazily at collection time."""
+        m = self._get_or_create(
+            name, labels, lambda: Counter(name, labels, fn=fn)
+        )
         if not isinstance(m, Counter):
             raise TypeError(f"{name} is already registered as {type(m).__name__}")
         return m
@@ -374,7 +396,7 @@ class MetricsRegistry:
         """Fold ``other``'s state into this registry (in place).
 
         Per ``(name, labels)`` slot: counters add, histograms merge
-        bucket-wise, gauges add their current readings.  Pull gauges are
+        bucket-wise, gauges add their current readings.  Pull metrics are
         materialised to plain values at merge time — a merged registry is
         a frozen aggregate, detached from any live simulation.  The
         operation is commutative and associative over any partition of
@@ -401,7 +423,8 @@ class MetricsRegistry:
                     f"{type(mine).__name__} at {key[0]}"
                 )
             if isinstance(mine, Counter):
-                mine.value += theirs.value
+                mine._count = mine.value + theirs.value
+                mine.fn = None
             elif isinstance(mine, Gauge):
                 mine.value = mine.read() + theirs.read()
                 mine.fn = None

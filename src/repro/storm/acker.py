@@ -13,11 +13,11 @@ this paper's experiments: the framework never observes acker placement, only
 reproduces exactly.  (Acker CPU cost is negligible next to app bolts.)
 
 Storage layout: tree state lives on a *slab* — parallel arrays indexed by
-slot, with a ``root -> slot`` map and a free list for slot reuse (the same
-pattern as the DES kernel's Timeout pool).  The ledger operations on the
-emit/ack hot path (``emit`` is called once per anchored edge per root,
-``ack`` once per processed tuple) then touch one dict lookup plus flat
-list indexing instead of allocating and destructuring a per-tree object;
+slot, with a ``root -> slot`` map and a free list for slot reuse.  The
+ledger operations on the emit/ack hot path (``emit`` is called once per
+anchored edge per root, ``ack`` once per processed tuple) then touch one
+dict lookup plus flat list indexing instead of allocating and
+destructuring a per-tree object;
 the timeout sweep scans one float array.  Slot order is irrelevant to
 semantics — completion order, callbacks, and the sweep's expiry order
 (insertion order of live roots) are identical to the previous dict-of-
@@ -34,7 +34,7 @@ from repro.obs.tracer import TUPLE_ACK, TUPLE_FAIL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.environment import Environment
-    from repro.obs.metrics import Counter, LogHistogram, MetricsRegistry
+    from repro.obs.metrics import LogHistogram, MetricsRegistry
     from repro.obs.tracer import Tracer
 
 
@@ -94,14 +94,10 @@ class AckLedger:
         self.latency_sum = 0.0
         #: failures by cause: "failed" | "timeout" | "shed" | "crash" | ...
         self.failure_reasons: Dict[str, int] = {}
-        # registry instruments (None when metrics are disabled); fail
-        # counters are per reason and reasons arrive dynamically, so they
-        # resolve lazily through _m_failed
-        self._m_acked: Optional["Counter"] = None
+        # the one pushed instrument (None when metrics are disabled); the
+        # registry reads the counts above through pull counters
         self._m_latency: Optional["LogHistogram"] = None
-        self._m_failed: Dict[str, "Counter"] = {}
         if metrics is not None:
-            self._m_acked = metrics.counter("tuple.acked")
             self._m_latency = metrics.histogram(COMPLETE_LATENCY_METRIC)
         self._proc = env.process(self._sweeper(), name="ack-sweeper")
 
@@ -173,8 +169,7 @@ class AckLedger:
             self._free.append(slot)
             self.acked_count += 1
             self.latency_sum += latency
-            if self._m_acked is not None:
-                self._m_acked.inc()
+            if self._m_latency is not None:
                 self._m_latency.add(latency)
             if self.tracer is not None:
                 self.tracer.record(
@@ -212,13 +207,17 @@ class AckLedger:
         self._msg_id[slot] = None
         self._free.append(slot)
         self.failed_count += 1
-        self.failure_reasons[reason] = self.failure_reasons.get(reason, 0) + 1
-        if self.metrics is not None:
-            c = self._m_failed.get(reason)
-            if c is None:
-                c = self.metrics.counter("tuple.failed", reason=reason)
-                self._m_failed[reason] = c
-            c.inc()
+        reasons = self.failure_reasons
+        if reason in reasons:
+            reasons[reason] += 1
+        else:
+            reasons[reason] = 1
+            if self.metrics is not None:
+                # reasons arrive dynamically: a reason's registry entry
+                # appears with its first failure
+                self.metrics.counter(
+                    "tuple.failed", fn=lambda: reasons[reason], reason=reason
+                )
         if self.tracer is not None:
             self.tracer.record(
                 self.env.now, TUPLE_FAIL, root=root_id,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-from repro.obs import Observability, ObservabilityConfig
+from repro.obs import ObservabilityConfig
 from repro.storm.cluster import NodeSpec
 from repro.storm.faults import Fault
 from repro.storm.runner import (
@@ -57,9 +57,7 @@ class SimulationBuilder:
         self._metrics_interval = 1.0
         self._faults: List[Fault] = []
         self._controllers: List[object] = []  # controllers or spec tuples
-        self._observability: Union[
-            ObservabilityConfig, Observability, None
-        ] = None
+        self._observability: Optional[ObservabilityConfig] = None
         self._chaos: Optional[Tuple["ChaosSpec", Optional[int], float]] = None
         self._slo: Optional["SLOPolicy"] = None
         self._built: Optional[StormSimulation] = None
@@ -169,7 +167,7 @@ class SimulationBuilder:
 
     def observability(
         self,
-        config: Union[ObservabilityConfig, Observability, None] = None,
+        config: Optional[ObservabilityConfig] = None,
         *,
         trace: bool = False,
         profile: bool = False,
@@ -255,12 +253,6 @@ class SimulationBuilder:
         if self._slo is not None:
             import dataclasses
 
-            if isinstance(observability, Observability):
-                raise ValueError(
-                    ".slo() composes with an ObservabilityConfig or the "
-                    "flag form of .observability(), not with a live "
-                    "Observability instance"
-                )
             cfg = observability or ObservabilityConfig()
             observability = dataclasses.replace(cfg, slo=self._slo)
         sim = StormSimulation(

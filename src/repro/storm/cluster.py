@@ -151,7 +151,6 @@ class Cluster:
             # component/executor/grouping streams, and non-chaos runs make
             # no draws from it at all.
             rng=self.rngs.get("transport/chaos"),
-            metrics=self.metrics,
         )
 
         placements = self.scheduler.place_workers(config.num_workers, self.nodes)

@@ -40,7 +40,7 @@ from repro.storm.tuples import DEFAULT_STREAM, SpoutRecord, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.environment import Environment
-    from repro.obs.metrics import Counter, LogHistogram, MetricsRegistry
+    from repro.obs.metrics import LogHistogram, MetricsRegistry
     from repro.obs.tracer import Tracer
     from repro.storm.acker import AckLedger
     from repro.storm.topology import TopologyConfig
@@ -88,34 +88,28 @@ class Transport:
         ledger: Optional["AckLedger"] = None,
         tracer: Optional["Tracer"] = None,
         rng: Optional[np.random.Generator] = None,
-        metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         self.env = env
         self.config = config
         self.ledger = ledger
         self.tracer = tracer
         self.rng = rng
-        self.metrics = metrics
         self.queues: Dict[int, Store] = {}
         self.placement: Dict[int, "Worker"] = {}
         self.sent_count = 0
         self.dropped_count = 0
-        #: transfers dropped by chaos faults / crashed destinations
-        self.lost_count = 0
+        #: transfers dropped by a loss fault / at a crashed destination
+        self.lost_loss_count = 0
+        self.lost_crash_count = 0
         self._loss_holds: List[float] = []
         self._delay_holds: List[float] = []
         self.loss_probability = 0.0
         self.extra_delay_mean = 0.0
-        # metric handles, resolved once (None when metrics are disabled)
-        self._m_sent: Optional["Counter"] = None
-        self._m_shed: Optional["Counter"] = None
-        self._m_lost_loss: Optional["Counter"] = None
-        self._m_lost_crash: Optional["Counter"] = None
-        if metrics is not None:
-            self._m_sent = metrics.counter("transport.sent")
-            self._m_shed = metrics.counter("transport.shed")
-            self._m_lost_loss = metrics.counter("transport.lost", reason="loss")
-            self._m_lost_crash = metrics.counter("transport.lost", reason="crash")
+
+    @property
+    def lost_count(self) -> int:
+        """Transfers dropped in transit, whatever the reason."""
+        return self.lost_loss_count + self.lost_crash_count
 
     def register(self, task_id: int, queue: Store, worker: "Worker") -> None:
         self.queues[task_id] = queue
@@ -192,9 +186,9 @@ class Transport:
         same-delay group in list order from one event is observably
         identical to delivering each from its own event.
 
-        Delivery uses fire-and-forget puts: if a destination queue is
-        full under the ``buffer`` policy, the put waits in the store's
-        putter list, which models the receiver-side transfer buffer
+        A put never blocks the sender: if a destination queue is full
+        under the ``buffer`` policy, the envelope waits in the store's
+        overflow, which models the receiver-side transfer buffer
         growing (visible to the metrics layer as ``backlog``).
         """
         env = self.env
@@ -203,17 +197,13 @@ class Transport:
         groups: Dict[float, List[Tup[int, Tuple]]] = {}
         for dst_task, tup in sends:
             self.sent_count += 1
-            if self._m_sent is not None:
-                self._m_sent.inc()
             dst_worker = self.placement[dst_task]
             delay = self.latency(src_worker, dst_task)
             inter_worker = dst_worker is not src_worker
             if inter_worker and self.loss_probability > 0.0:
                 if self.rng.random() < self.loss_probability:
                     # Lost on the wire: the tree times out and replays.
-                    self.lost_count += 1
-                    if self._m_lost_loss is not None:
-                        self._m_lost_loss.inc()
+                    self.lost_loss_count += 1
                     if tr is not None:
                         tr.record(
                             env.now, TUPLE_LOSS, dst_task=dst_task,
@@ -245,8 +235,7 @@ class Transport:
         — takes a vectorized path: consecutive same-destination runs are
         enqueued with one :meth:`~repro.des.stores.Store.put_many` per
         run (and crash losses counted per run), which preserves the
-        per-tuple arrival order exactly while skipping the per-tuple
-        put-event machinery on same-tick bursts.
+        per-tuple arrival order exactly.
         """
         env = self.env
         tr = self.tracer
@@ -265,10 +254,7 @@ class Transport:
                     # Connection to a died worker: the transfers vanish;
                     # the acker's timeout sweep fails the trees and the
                     # spout replays after recovery.
-                    lost = j - i
-                    self.lost_count += lost
-                    if self._m_lost_crash is not None:
-                        self._m_lost_crash.inc(lost)
+                    self.lost_crash_count += j - i
                 else:
                     queues[dst_task].put_many(
                         [Envelope(tup, now) for _, tup in batch[i:j]]
@@ -277,9 +263,7 @@ class Transport:
             return
         for dst_task, tup in batch:
             if self.placement[dst_task].crashed:
-                self.lost_count += 1
-                if self._m_lost_crash is not None:
-                    self._m_lost_crash.inc()
+                self.lost_crash_count += 1
                 if tr is not None:
                     tr.record(
                         env.now, TUPLE_LOSS, dst_task=dst_task,
@@ -292,8 +276,6 @@ class Transport:
                 # right away so the spout replays without waiting for the
                 # message timeout.
                 self.dropped_count += 1
-                if self._m_shed is not None:
-                    self._m_shed.inc()
                 if tr is not None:
                     tr.record(
                         env.now, TUPLE_SHED, dst_task=dst_task,
@@ -480,7 +462,7 @@ class BaseExecutor:
         Failing through the ledger makes the spout replay the purged
         tuples immediately instead of waiting out the message timeout.
         Returns the number of data (non-tick) tuples lost.  Drains in a
-        loop because freeing capacity releases blocked putters.
+        loop because freeing capacity admits the queue's overflow.
         """
         lost = 0
         while True:
@@ -517,15 +499,6 @@ class SpoutExecutor(BaseExecutor):
         self.replayed_count = 0
         self.trees_opened = 0  # reliable emissions (one ack tree each)
         self._wake: Optional[Event] = None
-        self._m_replays: Optional["Counter"] = None
-        self._m_drops: Optional["Counter"] = None
-        if self.metrics is not None:
-            self._m_replays = self.metrics.counter(
-                "spout.replays", component=self.component_id
-            )
-            self._m_drops = self.metrics.counter(
-                "spout.drops", component=self.component_id
-            )
         self.ledger.register_spout(self.task_id, self._on_ack, self._on_fail)
         self.process = self.env.process(
             self.run(), name=f"spout-{self.component_id}-{self.task_id}"
@@ -552,8 +525,6 @@ class SpoutExecutor(BaseExecutor):
             rec.retries += 1
             self.replay_queue.append(rec)
             self.replayed_count += 1
-            if self._m_replays is not None:
-                self._m_replays.inc()
             if tr is not None:
                 tr.record(
                     self.env.now, TUPLE_REPLAY, msg_id=msg_id,
@@ -561,8 +532,6 @@ class SpoutExecutor(BaseExecutor):
                 )
         else:
             self.dropped_count += 1
-            if self._m_drops is not None:
-                self._m_drops.inc()
             if tr is not None:
                 tr.record(
                     self.env.now, TUPLE_DROP, msg_id=msg_id,
@@ -674,16 +643,12 @@ class BoltExecutor(BaseExecutor):
         # per-component instruments (tasks of one component share them)
         self._m_wait: Optional["LogHistogram"] = None
         self._m_service: Optional["LogHistogram"] = None
-        self._m_executed: Optional["Counter"] = None
         if self.metrics is not None:
             self._m_wait = self.metrics.histogram(
                 "bolt.queue_wait_seconds", component=self.component_id
             )
             self._m_service = self.metrics.histogram(
                 "bolt.service_seconds", component=self.component_id
-            )
-            self._m_executed = self.metrics.counter(
-                "bolt.executed", component=self.component_id
             )
         self.process = self.env.process(
             self.run(), name=f"bolt-{self.component_id}-{self.task_id}"
@@ -714,8 +679,8 @@ class BoltExecutor(BaseExecutor):
                 if gate is not None:
                     yield gate
                 # Drain-and-serve fast path: a backlogged queue hands the
-                # head envelope over synchronously — no StoreGet event,
-                # no consumer-wakeup event, no extra pause-gate recheck
+                # head envelope over synchronously — no get event, no
+                # consumer wakeup, no extra pause-gate recheck
                 # (nothing yielded, so the gate cannot have changed).
                 # The service timeout below is then the loop's single
                 # rescheduling event per tuple.
@@ -822,8 +787,7 @@ class BoltExecutor(BaseExecutor):
             self.busy_time += service
             self.wait_time_sum += wait
             self.service_time_sum += service
-            if self._m_executed is not None:
-                self._m_executed.inc()
+            if self._m_wait is not None:
                 self._m_wait.add(wait)
                 self._m_service.add(service)
 

@@ -38,16 +38,20 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
 
 from repro.des.environment import Environment
 from repro.obs import Observability, ObservabilityConfig
-from repro.obs.metrics import COMPLETE_LATENCY_METRIC, LogHistogram
+from repro.obs.metrics import (
+    COMPLETE_LATENCY_METRIC,
+    LogHistogram,
+    MetricsRegistry,
+)
 from repro.obs.slo import SLOEngine
 from repro.storm.cluster import Cluster, NodeSpec
+from repro.storm.executor import SpoutExecutor
 from repro.storm.faults import Fault, FaultInjector
 from repro.storm.metrics import MetricsCollector, MultilevelSnapshot
 from repro.storm.topology import Topology
@@ -247,7 +251,7 @@ class StormSimulation:
         seed: int = 0,
         metrics_interval: float = 1.0,
         faults: Sequence[Fault] = (),
-        observability: Union[ObservabilityConfig, Observability, None] = None,
+        observability: Optional[ObservabilityConfig] = None,
     ) -> None:
         # Edge ids are per-Environment (each counter starts at 1), so
         # back-to-back simulations in one process stay independent.
@@ -274,6 +278,7 @@ class StormSimulation:
                 "cluster.crashed_workers",
                 lambda: len(self.cluster.crashed_workers()),
             )
+            self._register_pull_counters(registry)
             tracer = self.obs.tracer
             if tracer is not None:
                 registry.register_pull(
@@ -334,6 +339,47 @@ class StormSimulation:
             else None
         )
 
+    def _register_pull_counters(self, registry: MetricsRegistry) -> None:
+        """Expose the data plane's own counts as registry counters.
+
+        Ledger, transport and executors count these facts once, in plain
+        attributes; the registry reads them at collection time
+        (``tuple.failed{reason}`` appears with a reason's first failure,
+        see :meth:`AckLedger._record_failure`).  Per-component counters
+        sum over the component's executors.
+        """
+        ledger, transport = self.cluster.ledger, self.cluster.transport
+        assert ledger is not None and transport is not None
+        registry.counter("tuple.acked", fn=lambda: ledger.acked_count)
+        registry.counter("transport.sent", fn=lambda: transport.sent_count)
+        registry.counter("transport.shed", fn=lambda: transport.dropped_count)
+        registry.counter(
+            "transport.lost", fn=lambda: transport.lost_loss_count,
+            reason="loss",
+        )
+        registry.counter(
+            "transport.lost", fn=lambda: transport.lost_crash_count,
+            reason="crash",
+        )
+        by_component: Dict[str, List[Any]] = {}
+        for ex in self.cluster.executors.values():
+            by_component.setdefault(ex.component_id, []).append(ex)
+        for component, execs in by_component.items():
+            if isinstance(execs[0], SpoutExecutor):
+                registry.counter(
+                    "spout.replays", component=component,
+                    fn=lambda e=execs: sum(x.replayed_count for x in e),
+                )
+                registry.counter(
+                    "spout.drops", component=component,
+                    fn=lambda e=execs: sum(x.dropped_count for x in e),
+                )
+            else:
+                registry.counter(
+                    "bolt.executed", component=component,
+                    fn=lambda e=execs: sum(x.executed_count for x in e),
+                )
+
     # -- controller attachment ---------------------------------------------------------
 
     @property
@@ -385,8 +431,6 @@ class StormSimulation:
         lats = np.array(
             [c.latency for c in new_completions if c.acked], dtype=float
         )
-        from repro.storm.executor import SpoutExecutor
-
         dropped_total = sum(
             ex.dropped_count
             for ex in self.cluster.executors.values()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.des import Environment, Event, StopSimulation
+from repro.des import Environment, Event
+from repro.des.events import StopSimulation
 
 
 def test_clock_starts_at_zero():
@@ -33,6 +34,20 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         env.timeout(-1)
+
+
+def test_timeouts_pass_values_and_fire_on_time():
+    env = Environment()
+    log = []
+
+    def proc():
+        for i in range(6):
+            v = yield env.timeout(0.5, value=i)
+            log.append((env.now, v))
+
+    env.process(proc())
+    env.run()
+    assert log == [(0.5 * (i + 1), i) for i in range(6)]
 
 
 def test_run_until_number_stops_clock_exactly():

@@ -1,8 +1,8 @@
-"""Tests for processes: lifecycle, return values, interrupts, waiting."""
+"""Tests for processes: lifecycle, return values, crashes, waiting."""
 
 import pytest
 
-from repro.des import Environment, Interrupt
+from repro.des import Environment
 
 
 def test_process_return_value():
@@ -77,79 +77,18 @@ def test_process_crash_catchable_by_waiter():
     assert seen == ["crash"]
 
 
-def test_interrupt_delivers_cause():
-    env = Environment()
-    causes = []
+def test_removed_primitives_are_gone():
+    # Nothing in the simulator waits on a resource, a priority store or
+    # a condition, or interrupts a process; check_api.py rule 4 keeps
+    # the package surface from regrowing them unused.
+    import repro.des
+    from repro.des import Process
 
-    def sleeper(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as i:
-            causes.append((i.cause, env.now))
-
-    def interrupter(env, victim):
-        yield env.timeout(2)
-        victim.interrupt("wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    # Delivered at t=2; the orphaned timeout still drains at t=100.
-    assert causes == [("wake up", 2.0)]
-    assert env.now == 100.0
-
-
-def test_interrupt_detaches_from_old_target():
-    # After an interrupt, the original timeout firing must NOT resume the
-    # process a second time.
-    env = Environment()
-    resumed = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(10)
-        except Interrupt:
-            pass
-        yield env.timeout(100)  # new wait; old timeout at t=10 must not wake us
-        resumed.append(env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(1)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert resumed == [101.0]
-
-
-def test_interrupt_dead_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(0)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
-
-
-def test_self_interrupt_rejected():
-    env = Environment()
-    errors = []
-
-    def proc(env):
-        me = env.active_process
-        try:
-            me.interrupt()
-        except RuntimeError as e:
-            errors.append(str(e))
-        yield env.timeout(0)
-
-    env.process(proc(env))
-    env.run()
-    assert len(errors) == 1
+    with pytest.raises(ImportError):
+        from repro.des import Resource, PriorityStore, AnyOf, Interrupt  # noqa: F401
+    for name in ("Resource", "PriorityStore", "AnyOf", "Interrupt"):
+        assert not hasattr(repro.des, name)
+    assert not hasattr(Process, "interrupt")
 
 
 def test_yield_non_event_raises():

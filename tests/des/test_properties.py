@@ -68,7 +68,7 @@ def test_store_conserves_items_under_random_interleaving(
     def producer(env):
         for item in produced:
             yield env.timeout(float(rng.random()))
-            yield store.put(item)
+            store.put(item)
 
     def consumer(env):
         while len(consumed) < n_items:
@@ -80,7 +80,9 @@ def test_store_conserves_items_under_random_interleaving(
     for _ in range(n_consumers):
         env.process(consumer(env))
     env.run(until=10_000)
-    assert sorted(consumed) == produced  # nothing lost, nothing duplicated
+    # nothing lost, nothing duplicated, and one producer's items leave
+    # the store in the order they entered it
+    assert consumed == produced
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import child_sequence, derive_seed, spawn_stream
+from repro.des import derive_seed, spawn_stream
+from repro.des.rng import child_sequence
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 LANES = st.lists(st.integers(min_value=0, max_value=2**16), max_size=3)

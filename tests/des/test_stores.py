@@ -1,8 +1,8 @@
-"""Tests for Store / PriorityStore: FIFO, capacity, blocking, cancel."""
+"""Tests for Store: FIFO, capacity/backlog, waiting getters, drain."""
 
 import pytest
 
-from repro.des import Environment, Interrupt, PriorityItem, PriorityStore, Store
+from repro.des import Environment, Store
 
 
 def test_put_then_get_fifo():
@@ -10,16 +10,13 @@ def test_put_then_get_fifo():
     store = Store(env)
     got = []
 
-    def producer(env):
-        for i in range(3):
-            yield store.put(i)
-
     def consumer(env):
         for _ in range(3):
             item = yield store.get()
             got.append(item)
 
-    env.process(producer(env))
+    for i in range(3):
+        assert store.put(i) is None  # a plain insert, nothing to wait on
     env.process(consumer(env))
     env.run()
     assert got == [0, 1, 2]
@@ -36,7 +33,7 @@ def test_get_blocks_until_put():
 
     def producer(env):
         yield env.timeout(5)
-        yield store.put("x")
+        store.put("x")
 
     env.process(consumer(env))
     env.process(producer(env))
@@ -45,25 +42,34 @@ def test_get_blocks_until_put():
 
 
 def test_put_blocks_when_full():
+    # A put into a full store never blocks the producer: the item waits
+    # in the overflow (counted by backlog, not level) and enters the
+    # store, in arrival order, as gets free capacity.
     env = Environment()
     store = Store(env, capacity=1)
     log = []
 
     def producer(env):
-        yield store.put("a")
-        log.append(("a-in", env.now))
-        yield store.put("b")
-        log.append(("b-in", env.now))
+        for item in ("a", "b", "c"):
+            store.put(item)
+        log.append(("put", env.now, store.level, store.backlog))
+        yield env.timeout(0)
 
     def consumer(env):
         yield env.timeout(10)
-        item = yield store.get()
-        log.append(("got", item, env.now))
+        for _ in range(3):
+            item = yield store.get()
+            log.append(("got", item, store.level, store.backlog))
 
     env.process(producer(env))
     env.process(consumer(env))
     env.run()
-    assert log == [("a-in", 0.0), ("got", "a", 10.0), ("b-in", 10.0)]
+    assert log == [
+        ("put", 0.0, 1, 3),
+        ("got", "a", 1, 2),
+        ("got", "b", 1, 1),
+        ("got", "c", 0, 0),
+    ]
 
 
 def test_capacity_must_be_positive():
@@ -75,36 +81,25 @@ def test_capacity_must_be_positive():
 def test_level_and_is_full():
     env = Environment()
     store = Store(env, capacity=2)
-
-    def proc(env):
-        assert store.level == 0
-        yield store.put(1)
-        assert store.level == 1
-        assert not store.is_full
-        yield store.put(2)
-        assert store.is_full
-
-    env.process(proc(env))
-    env.run()
+    assert store.level == 0
+    store.put(1)
+    assert store.level == len(store) == 1
+    assert not store.is_full
+    store.put(2)
+    assert store.is_full
 
 
 def test_try_put_drops_when_full():
     env = Environment()
     store = Store(env, capacity=1)
-
-    def proc(env):
-        assert store.try_put("a") is True
-        yield env.timeout(0)
-        assert store.try_put("b") is False
-        assert store.level == 1
-
-    env.process(proc(env))
-    env.run()
+    assert store.try_put("a") is True
+    assert store.try_put("b") is False
+    assert store.level == store.backlog == 1
 
 
 def test_try_put_succeeds_with_waiting_getter():
-    # Even when "full by capacity", a waiting getter means the item has a
-    # home — try_put must hand it over rather than drop it.
+    # A waiting getter means the store is empty, so the item has a home
+    # even at capacity 1: try_put hands it over rather than dropping it.
     env = Environment()
     store = Store(env, capacity=1)
     got = []
@@ -118,7 +113,7 @@ def test_try_put_succeeds_with_waiting_getter():
     def producer(env):
         yield env.timeout(1)
         assert store.try_put("a")
-        assert store.try_put("b")  # "a" was immediately consumed
+        assert store.try_put("b")  # "a" went straight to the getter
 
     env.process(consumer(env))
     env.process(producer(env))
@@ -126,105 +121,61 @@ def test_try_put_succeeds_with_waiting_getter():
     assert got == ["a", "b"]
 
 
-def test_cancelled_get_does_not_steal_item():
+def test_waiting_getters_are_served_in_request_order():
     env = Environment()
     store = Store(env)
     got = []
 
-    def impatient(env):
-        try:
-            yield store.get()
-        except Interrupt:
-            pass
-        yield env.timeout(100)
-
-    def patient(env):
+    def consumer(env, tag):
         item = yield store.get()
-        got.append(item)
+        got.append((tag, item))
 
-    def driver(env, victim):
-        yield env.timeout(1)
-        victim.interrupt()
-        yield store.put("only")
-
-    victim = env.process(impatient(env))
-    env.process(patient(env))
-    env.process(driver(env, victim))
-    env.run()
-    assert got == ["only"]
-
-
-def test_cancelled_put_frees_slot():
-    env = Environment()
-    store = Store(env, capacity=1)
-    stored = []
-
-    def blocked_putter(env):
-        yield store.put("first")
-        try:
-            yield store.put("second")  # blocks: capacity 1
-        except Interrupt:
-            pass
-
-    def other_putter(env):
-        yield env.timeout(2)
-        yield store.get()  # frees the slot
-        yield store.put("third")
-        stored.append(list(store.items))
-
-    def driver(env, victim):
-        yield env.timeout(1)
-        victim.interrupt()
-
-    victim = env.process(blocked_putter(env))
-    env.process(other_putter(env))
-    env.process(driver(env, victim))
-    env.run()
-    # "second" was cancelled, so after get+put the store holds only "third".
-    assert stored == [["third"]]
-
-
-def test_priority_store_orders_by_priority():
-    env = Environment()
-    store = PriorityStore(env)
-    got = []
+    for tag in ("first", "second"):
+        env.process(consumer(env, tag))
 
     def producer(env):
-        yield store.put(PriorityItem(priority=5, item="low"))
-        yield store.put(PriorityItem(priority=1, item="high"))
-        yield store.put(PriorityItem(priority=3, item="mid"))
-
-    def consumer(env):
         yield env.timeout(1)
-        for _ in range(3):
-            it = yield store.get()
-            got.append(it.item)
+        store.put_many(["x", "y", "z"])
 
     env.process(producer(env))
-    env.process(consumer(env))
     env.run()
-    assert got == ["high", "mid", "low"]
+    assert got == [("first", "x"), ("second", "y")]
+    assert list(store.items) == ["z"]
 
 
-def test_priority_store_fifo_within_priority():
+def test_put_many_matches_a_loop_of_puts_under_capacity_pressure():
     env = Environment()
-    store = PriorityStore(env)
-    got = []
+    one, many = Store(env, capacity=3), Store(env, capacity=3)
+    for store in (one, many):
+        store.put("head")
+    for item in range(5):
+        one.put(item)
+    many.put_many(range(5))
+    assert list(one.items) == list(many.items) == ["head", 0, 1]
+    assert one.backlog == many.backlog == 6
+    assert one.drain() == many.drain()
+    assert list(one.items) == list(many.items) == [2, 3, 4]
 
-    def producer(env):
-        for tag in ("a", "b", "c"):
-            yield store.put(PriorityItem(priority=1, item=tag))
 
-    def consumer(env):
-        yield env.timeout(1)
-        for _ in range(3):
-            it = yield store.get()
-            got.append(it.item)
+def test_take_nowait_returns_head_and_admits_overflow():
+    env = Environment()
+    store = Store(env, capacity=2)
+    assert store.take_nowait() is None
+    store.put_many(["a", "b", "c"])
+    assert store.take_nowait() == "a"
+    assert list(store.items) == ["b", "c"]
+    assert store.backlog == 2
 
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == ["a", "b", "c"]
+
+def test_drain_empties_the_store_and_admits_overflow():
+    env = Environment()
+    store = Store(env, capacity=2)
+    store.put_many([1, 2, 3, 4, 5])
+    assert store.drain() == [1, 2]
+    assert store.drain() == [3, 4]
+    assert store.drain() == [5]
+    assert store.drain() == []
+    assert store.backlog == 0
 
 
 def test_many_producers_consumers_conservation():
@@ -237,7 +188,7 @@ def test_many_producers_consumers_conservation():
         for i in range(50):
             item = base + i
             produced.append(item)
-            yield store.put(item)
+            store.put(item)
             yield env.timeout(0.1)
 
     def consumer(env):

@@ -218,3 +218,27 @@ def test_reliability_scenario_smoke_baseline():
     assert res.label == "baseline"
     assert res.controller is None
     assert res.throughput_healthy() > 0
+
+
+def test_degradation_sweep_is_independent_of_jobs():
+    # One RunSpec path at every jobs value: inline and sharded sweeps
+    # return the same slim, identical cells.
+    from repro.experiments import degradation_sweep
+
+    kw = dict(
+        app="url_count", ks=(0, 1), arms=("reactive",), seed=2,
+        base_rate=100.0, duration=30.0, fault_start=10.0,
+        fault_duration=15.0,
+    )
+    serial = degradation_sweep(jobs=1, **kw)
+    sharded = degradation_sweep(jobs=2, **kw)
+    assert list(serial) == list(sharded) == [("reactive", 0), ("reactive", 1)]
+    for cell, res in serial.items():
+        other = sharded[cell]
+        assert res.sim is None and res.controller is None
+        assert other.sim is None and other.controller is None
+        assert res.result.acked == other.result.acked > 0
+        assert np.array_equal(
+            res.result.complete_latencies, other.result.complete_latencies
+        )
+        assert res.result.summary() == other.result.summary()

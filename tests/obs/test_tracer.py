@@ -115,15 +115,6 @@ def test_observability_config_validation():
         ObservabilityConfig(trace=True, trace_capacity=0).validate()
 
 
-def test_observability_passthrough():
-    obs = Observability(ObservabilityConfig(trace=True))
-    again = Observability(obs)
-    assert again.tracer is obs.tracer  # shared handles, not copies
-    assert again.config is obs.config
-    assert obs.tracer is not None
-    assert obs.enabled
-
-
 def test_events_rejects_inverted_window():
     tr = Tracer()
     tr.record(1.0, TUPLE_EMIT, root=1)
