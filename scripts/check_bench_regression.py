@@ -22,6 +22,10 @@ Two checks run per benchmark, both with the same ``tolerance``:
   immune to machine-load drift and is the reliable signal on busy CI
   runners.
 
+A run is only comparable with a baseline of the same schema, the same
+``scale`` and the same ``protocol.warmup``/``protocol.repeats``; any
+mismatch there exits 2 with a message before a single time is compared.
+
 Benchmarks present on one side only are reported and skipped: adding a
 benchmark must not break CI, and the gate should complain loudly (not
 crash) if one disappears.
@@ -48,6 +52,16 @@ def _best_time(result: dict) -> float:
     return float(result["median_s"])
 
 
+def _settings(doc: dict) -> dict:
+    """What a report was measured with, beyond its schema."""
+    protocol = doc.get("protocol", {})
+    return {
+        "scale": doc.get("scale"),
+        "protocol.warmup": protocol.get("warmup"),
+        "protocol.repeats": protocol.get("repeats"),
+    }
+
+
 def compare(bench: dict, baseline: dict, tolerance: float) -> int:
     if bench.get("schema") != baseline.get("schema"):
         print(
@@ -55,6 +69,17 @@ def compare(bench: dict, baseline: dict, tolerance: float) -> int:
             f"baseline {baseline.get('schema')!r}"
         )
         return 2
+    # Times taken at another workload size, or with another number of
+    # warm-up/timed repeats (min-of-5 and min-of-9 of identical code
+    # differ by more than the tolerance), are not comparable either.
+    run_settings, base_settings = _settings(bench), _settings(baseline)
+    for what, cur in run_settings.items():
+        if cur != base_settings[what]:
+            print(
+                f"{what} mismatch: run {cur!r} vs "
+                f"baseline {base_settings[what]!r}"
+            )
+            return 2
     current = bench["results"]
     pinned = baseline["results"]
     failures = []

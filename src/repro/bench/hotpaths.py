@@ -138,7 +138,7 @@ def make_transport_send_deliver(scale: Dict[str, int]) -> Callable[[], int]:
         w2 = _fake_worker("w2", node_b)  # cross node
         workers = [w0, w1, w2]
         for task in range(3):
-            transport.register(task, Store(env), workers[task])
+            transport.register(task, Store(), workers[task])
         tup = Tuple(
             values=("x", 1),
             stream="default",

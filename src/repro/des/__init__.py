@@ -1,19 +1,22 @@
 """Discrete-event simulation (DES) kernel.
 
 This package is the substrate underneath the Storm-like stream-processing
-simulator (:mod:`repro.storm`): a small, deterministic, generator-coroutine
-event engine that holds only what that simulator runs.
+simulator (:mod:`repro.storm`): a small, deterministic event engine that
+holds only what that simulator runs.
 
 * :class:`~repro.des.environment.Environment` — the event loop and virtual
   clock, over one binary-heap event queue (:mod:`~repro.des.queues`).
 * :class:`~repro.des.events.Event`, :class:`~repro.des.events.Timeout` —
-  the two things a process can wait on.
+  one-shot occurrences whose ``fn(event)`` callbacks the loop runs.  The
+  per-tuple actors (executors, transport) are state machines that append
+  a bound method to the one event they wait on.
 * :class:`~repro.des.process.Process` — a generator wrapped into the event
-  loop; processes ``yield`` events and are resumed when those events fire.
-  A process is itself an event (it fires when the generator returns), so
+  loop, for the low-rate actors (ticks, collectors, sweepers, faults,
+  controllers): it yields events and is resumed when they fire.  A
+  process is itself an event (it fires when the generator returns), so
   processes can wait on each other.  There is no preemption.
 * :class:`~repro.des.stores.Store` — the bounded FIFO executor input
-  queue: consumers wait on ``get``, ``put`` is a plain insert.
+  queue: ``put`` is a plain insert, an idle consumer is called back.
 * :mod:`~repro.des.rng` — deterministic per-component random streams.
 
 The kernel is single-threaded and fully deterministic for a given seed;

@@ -9,6 +9,7 @@ a fixed seed).
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import TYPE_CHECKING, Any, Generator, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -25,6 +26,14 @@ from repro.des.process import Process
 from repro.des.queues import HeapQueue
 
 
+def _owner_name(callback: Any) -> str:
+    """The profiler row a callback's wall time is booked under: the
+    ``name`` of the object it is bound to (a generator process, a
+    callback executor, the transport), else its qualified name."""
+    name = getattr(getattr(callback, "__self__", None), "name", None)
+    return name or getattr(callback, "__qualname__", "callback")
+
+
 class EmptySchedule(Exception):
     """Raised by :meth:`Environment.step` when no events remain."""
 
@@ -39,17 +48,18 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: current simulation time; only the event loop writes it (a plain
+        #: attribute: every executor transition reads it, several times)
+        self.now = float(initial_time)
         self._queue = HeapQueue()
         #: bound push of the event queue — the one scheduling entry
         #: point; ``Event.succeed``/``fail`` and ``Timeout`` push
         #: through it rather than reaching into the queue structure.
         self._qpush = self._queue.push
         self._seq = 0
-        self._active_proc: Optional[Process] = None
-        #: optional kernel profiler (see :mod:`repro.obs.profiler`); the
-        #: event loop pays one ``is not None`` check per event when unset.
-        self._profiler: Optional["KernelProfiler"] = None
+        #: optional kernel profiler (see :mod:`repro.obs.profiler`), set by
+        #: whoever wants one; :meth:`run` checks it once, on entry.
+        self.profiler: Optional["KernelProfiler"] = None
         #: last issued edge id (see :meth:`next_edge_id`); starts at 0 so
         #: the first id is 1 in every simulation.
         self._edge_seq = 0
@@ -67,18 +77,6 @@ class Environment:
         self._edge_seq += 1
         return self._edge_seq
 
-    # -- clock ----------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_proc
-
     # -- introspection (pull-gauge surfaces for repro.obs.metrics) -----------------
 
     @property
@@ -90,17 +88,6 @@ class Environment:
     def queue_depth(self) -> int:
         """Events currently pending in the queue."""
         return len(self._queue)
-
-    # -- profiling -----------------------------------------------------------------
-
-    @property
-    def profiler(self) -> Optional["KernelProfiler"]:
-        """The attached kernel profiler, if any."""
-        return self._profiler
-
-    def set_profiler(self, profiler: Optional["KernelProfiler"]) -> None:
-        """Attach (or detach, with ``None``) a kernel profiler."""
-        self._profiler = profiler
 
     # -- event factory helpers --------------------------------------------------
 
@@ -122,10 +109,10 @@ class Environment:
 
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Enqueue ``event`` to be processed ``delay`` from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN, which would unorder the heap
+            raise ValueError(f"delay must be a number >= 0, got {delay}")
         self._seq += 1
-        self._qpush((self._now + delay, priority, self._seq, event))
+        self._qpush((self.now + delay, priority, self._seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -146,14 +133,20 @@ class Environment:
             when, _prio, _seq, event = self._queue.pop()
         except IndexError:
             raise EmptySchedule() from None
-        self._now = when
-        if self._profiler is not None:
-            self._profiler.note_event(len(self._queue))
+        self.now = when
         callbacks = event.callbacks
         event.callbacks = None  # mark processed
         assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
+        profiler = self.profiler
+        if profiler is None:
+            for callback in callbacks:
+                callback(event)
+        else:
+            profiler.note_event(len(self._queue))
+            for callback in callbacks:
+                t0 = perf_counter()
+                callback(event)
+                profiler.note_resume(_owner_name(callback), perf_counter() - t0)
         if not event._ok and not event._defused:
             assert event._exc is not None
             raise event._exc
@@ -172,7 +165,7 @@ class Environment:
         callbacks with everything bound locally.  Semantics are identical
         to stepping — same pop order, same crash-visible re-raise — and
         the stepping loop remains in use whenever a profiler is attached
-        (it is the profiler's per-event hook point).
+        (it is the profiler's per-event and per-callback hook point).
         """
         stop: Optional[Event] = None
         if until is not None:
@@ -183,9 +176,9 @@ class Environment:
                 stop.callbacks.append(self._stop_callback)  # type: ignore[union-attr]
             else:
                 at = float(until)
-                if at < self._now:
+                if at < self.now:
                     raise ValueError(
-                        f"until={at} lies in the past (now={self._now})"
+                        f"until={at} lies in the past (now={self.now})"
                     )
                 stop = Event(self)
                 stop._ok = True
@@ -193,15 +186,15 @@ class Environment:
                 stop.callbacks.append(self._stop_callback)  # type: ignore[union-attr]
                 # LAST so events landing exactly at `until` are still
                 # processed before the clock stops.
-                self.schedule(stop, delay=at - self._now, priority=LAST)
+                self.schedule(stop, delay=at - self.now, priority=LAST)
         try:
-            if self._profiler is not None:
+            if self.profiler is not None:
                 while True:
                     self.step()
             queue = self._queue
             pop_entry = queue.pop  # a bound C partial; no dispatch cost
             while queue:
-                self._now, _, _, event = pop_entry()
+                self.now, _, _, event = pop_entry()
                 callbacks = event.callbacks
                 event.callbacks = None  # mark processed
                 if len(callbacks) == 1:
@@ -233,4 +226,4 @@ class Environment:
         raise event._exc
 
     def __repr__(self) -> str:
-        return f"<Environment now={self._now} queued={len(self._queue)}>"
+        return f"<Environment now={self.now} queued={len(self._queue)}>"

@@ -1,8 +1,10 @@
 """Event primitives for the DES kernel.
 
-An :class:`Event` is a one-shot occurrence with a value (or an exception).
-Processes wait on events by ``yield``-ing them; the environment resumes the
-process when the event is *processed* (its callbacks run).
+An :class:`Event` is a one-shot occurrence with a value (or an exception)
+and a list of ``fn(event)`` callbacks the environment runs when the event
+is *processed*.  Executors append a bound method to that list; generator
+processes wait by ``yield``-ing the event (their resume method is the
+callback).
 
 Lifecycle::
 
@@ -76,11 +78,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """``True`` if the event succeeded (valid only once triggered)."""
-        return self._ok
-
-    @property
     def value(self) -> Any:
         """The event's value; raises if the event failed or is pending."""
         if self._value is _PENDING:
@@ -106,7 +103,7 @@ class Event:
         self._value = value
         env = self.env
         env._seq += 1
-        env._qpush((env._now, priority, env._seq, self))
+        env._qpush((env.now, priority, env._seq, self))
         return self
 
     def fail(self, exc: BaseException, priority: int = NORMAL) -> "Event":
@@ -124,7 +121,7 @@ class Event:
         self._value = None
         env = self.env
         env._seq += 1
-        env._qpush((env._now, priority, env._seq, self))
+        env._qpush((env.now, priority, env._seq, self))
         return self
 
     def __repr__(self) -> str:
@@ -140,17 +137,18 @@ class Timeout(Event):
     """An event that fires automatically after ``delay`` units of sim time.
 
     Construction is the single hottest allocation site of the simulator
-    (every executor service step and pacing wait creates one), so it
-    bypasses ``Event.__init__``/``Environment.schedule`` and pushes the
-    queue entry itself — same entry, same ``(time, priority, seq)``
-    ordering, three fewer Python calls per event.
+    (every service step, pacing wait and delivery creates one, carrying
+    its payload as ``value``), so it bypasses ``Event.__init__``/
+    ``Environment.schedule`` and pushes the queue entry itself — same
+    entry, same ``(time, priority, seq)`` ordering, three fewer Python
+    calls per event.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN, which would unorder the heap
+            raise ValueError(f"delay must be a number >= 0, got {delay}")
         self.env = env
         self.callbacks = []
         self._ok = True
@@ -158,10 +156,6 @@ class Timeout(Event):
         # `_exc` / `_defused` slots stay unset: a Timeout is born triggered
         # and ok, and every reader of those slots is guarded by a
         # ``not event._ok`` check, so they are never touched.
-        self.delay = delay
         env._seq += 1
-        env._qpush((env._now + delay, NORMAL, env._seq, self))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Timeout delay={self.delay} at {id(self):#x}>"
+        env._qpush((env.now + delay, NORMAL, env._seq, self))
 

@@ -1,4 +1,5 @@
-"""Process — a generator coroutine driven by the event loop.
+"""Process — a generator coroutine driven by the event loop (the form the
+low-rate actors take; per-tuple actors are callback state machines).
 
 A process function is a generator that ``yield``\\ s :class:`Event` objects;
 the kernel resumes the generator with the event's value when the event is
@@ -12,10 +13,9 @@ interrupts).
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.des.events import URGENT, Event, Timeout
+from repro.des.events import URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.environment import Environment
@@ -28,7 +28,7 @@ class Process(Event):
     the generator's return value, or fails with its uncaught exception.
     """
 
-    __slots__ = ("_gen", "_target", "name", "_resume_cb")
+    __slots__ = ("_gen", "_target", "name")
 
     def __init__(
         self,
@@ -44,14 +44,10 @@ class Process(Event):
         #: process has not started or has terminated).
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        #: the one bound-method object subscribed to target events — bound
-        #: once here so each suspension appends the same object instead of
-        #: materialising a fresh bound method per wakeup.
-        self._resume_cb = self._resume
         # Kick off the process at the current simulation time via an
         # initialisation event so that process creation order is preserved.
         init = Event(env)
-        init.callbacks.append(self._resume_cb)  # type: ignore[union-attr]
+        init.callbacks.append(self._resume)  # type: ignore[union-attr]
         init.succeed(None, priority=URGENT)
         self._target = init
 
@@ -72,17 +68,10 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome.
 
-        This is the kernel's hottest callback (once per process wakeup),
-        so the advance loop lives directly in the callback — no
-        ``_resume -> _advance`` indirection — with the generator's
-        ``send`` bound once per resumption.  Iterates instead of recursing
-        so a chain of already-processed events cannot blow the Python
-        stack.  Wall time is attributed when a profiler is attached.
+        Iterates instead of recursing so a chain of already-processed
+        events cannot blow the Python stack.
         """
         env = self.env
-        profiler = env._profiler
-        t0 = perf_counter() if profiler is not None else 0.0
-        env._active_proc = self
         self._target = None
         send = self._gen.send
         while True:
@@ -105,24 +94,18 @@ class Process(Event):
                 self._value = None
                 env.schedule(self, priority=URGENT)
                 break
-            # Class-identity test first: the overwhelming majority of yields
-            # are plain Timeouts, and a pointer compare beats the mro walk.
-            if next_ev.__class__ is not Timeout and not isinstance(next_ev, Event):
-                env._active_proc = None
+            if not isinstance(next_ev, Event):
                 raise RuntimeError(
                     f"process {self.name!r} yielded a non-event: {next_ev!r}"
                 )
             callbacks = next_ev.callbacks
             if callbacks is not None:
                 # Not yet processed: subscribe and suspend.
-                callbacks.append(self._resume_cb)
+                callbacks.append(self._resume)
                 self._target = next_ev
                 break
             # Already processed: consume immediately and keep going.
             event = next_ev
-        env._active_proc = None
-        if profiler is not None:
-            profiler.note_resume(self.name, perf_counter() - t0)
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "dead"

@@ -1,28 +1,24 @@
 """The bounded FIFO queue every executor reads its input from.
 
-:class:`Store` has one waiting side.  Consumers wait: :meth:`Store.get`
-returns an event a process yields on, fired with the oldest item (at
-once when one is stored, else on the next insert).  Producers never
-wait: :meth:`Store.put` is a fire-and-forget insert that creates and
-schedules nothing.  An item put into a full store is kept, in arrival
-order, in an overflow deque that models the receiver-side transfer
-buffer growing — counted by :attr:`Store.backlog`, refused by
-:meth:`Store.try_put` — and moves into the store as capacity frees.
+:class:`Store` has one consumer and it never waits on an event:
+:meth:`Store.take` hands over the oldest item at once, or — when the
+store is empty — remembers the consumer's callback and calls it, inside
+the producer's own event, with the next item put.  Producers never wait
+either: :meth:`Store.put` creates and schedules nothing.  An item put
+into a full store is kept, in arrival order, in an overflow deque that
+models the receiver-side transfer buffer growing — counted by
+:attr:`Store.backlog`, refused by :meth:`Store.try_put` — and moves into
+the store as capacity frees.
 
 Two facts hold between calls and let every method stay a few deque
-operations: a waiting getter means the store is empty, and a non-empty
-overflow means the store is full.
+operations: a waiting consumer means the store is empty, and a
+non-empty overflow means the store is full.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Iterable, Optional
-
-from repro.des.events import Event
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.des.environment import Environment
+from typing import Any, Callable, Iterable, Optional
 
 
 class Store:
@@ -30,25 +26,19 @@ class Store:
 
     Parameters
     ----------
-    env:
-        Owning environment.
     capacity:
         Maximum number of items held; ``float('inf')`` for unbounded.
     """
 
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
+    def __init__(self, capacity: float = float("inf")) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        self.env = env
         self.capacity = capacity
         self.items: deque = deque()
         #: items put while the store was full, oldest first
         self._overflow: deque = deque()
-        #: pending ``get`` events, oldest first
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
+        #: the idle consumer's callback, owed the next item put
+        self._waiter: Optional[Callable[[Any], None]] = None
 
     @property
     def level(self) -> int:
@@ -65,10 +55,12 @@ class Store:
         return len(self.items) + len(self._overflow)
 
     def put(self, item: Any) -> None:
-        """Insert ``item``: hand it to the oldest waiting getter, else
-        store it, else (store full) queue it behind the overflow."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
+        """Insert ``item``: hand it to the waiting consumer, else store
+        it, else (store full) queue it behind the overflow."""
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            waiter(item)
         elif len(self.items) < self.capacity:
             self.items.append(item)
         else:
@@ -86,34 +78,30 @@ class Store:
 
     def put_many(self, items: Iterable[Any]) -> None:
         """Bulk put: insert ``items`` in order, as a loop of :meth:`put`
-        would — but a batch that fits with nothing waiting, the common
+        would — but a batch that fits with nobody waiting, the common
         same-tick burst shape, is stored in one array-level operation."""
         batch = items if isinstance(items, (list, tuple)) else list(items)
-        if self._getters or len(self.items) + len(batch) > self.capacity:
+        if (
+            self._waiter is not None
+            or len(self.items) + len(batch) > self.capacity
+        ):
             for item in batch:
                 self.put(item)
         else:
             self.items.extend(batch)
 
-    def get(self) -> Event:
-        """Request removal of the oldest item; returns the completion event."""
-        ev = Event(self.env)
-        if self.items:
-            ev.succeed(self._take())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def take_nowait(self) -> Optional[Any]:
-        """Synchronously take the head item, or ``None`` if none is stored.
-
-        The batched-service fast path in the bolt executor: when an item
-        is already stored, this removes and returns it without creating
-        a ``get`` event (the item would have been taken from the store
-        at ``get()``-call time anyway — only the consumer's wakeup event
-        is elided).  Callers fall back to :meth:`get` on ``None``.
-        """
-        return self._take() if self.items else None
+    def take(self, waiter: Callable[[Any], None]) -> Optional[Any]:
+        """Remove and return the oldest item (the freed slot admits the
+        oldest overflow).  When nothing is stored, return ``None`` and
+        owe ``waiter(item)`` to the next :meth:`put` — called once,
+        synchronously, in place of storing that item."""
+        if not self.items:
+            self._waiter = waiter
+            return None
+        item = self.items.popleft()
+        if self._overflow:
+            self.items.append(self._overflow.popleft())
+        return item
 
     def drain(self) -> list:
         """Remove and return every stored item (crash/purge semantics).
@@ -128,13 +116,6 @@ class Store:
         while overflow and len(self.items) < self.capacity:
             self.items.append(overflow.popleft())
         return taken
-
-    def _take(self) -> Any:
-        """Pop the head item; the freed slot admits the oldest overflow."""
-        item = self.items.popleft()
-        if self._overflow:
-            self.items.append(self._overflow.popleft())
-        return item
 
     def __repr__(self) -> str:
         return (

@@ -1,18 +1,20 @@
 """DES kernel profiler: event-loop counters and wall-time attribution.
 
 Attached to an :class:`~repro.des.environment.Environment` via
-``env.set_profiler(...)`` (the runner does this when
+``env.profiler = ...`` (the runner does this when
 ``ObservabilityConfig.profile`` is on).  The kernel then reports:
 
 * every processed event (:meth:`KernelProfiler.note_event`), with the
   heap depth observed at pop time;
-* every process resumption (:meth:`KernelProfiler.note_resume`), with
-  the wall-clock seconds the generator ran before suspending again.
+* every callback it ran (:meth:`KernelProfiler.note_resume`), with the
+  wall-clock seconds it took, booked under the ``name`` of the object
+  the callback is bound to — a generator process (one resumption), a
+  callback executor (one transition), the transport (one delivery).
 
 This makes the simulator's own hot paths measurable: events/sec of real
-time is the kernel's throughput, and the per-process wall-time table
-shows which executor/collector/sweeper loops dominate a run.  When no
-profiler is attached the kernel pays one ``is not None`` check per event.
+time is the kernel's throughput, and the per-name wall-time table shows
+which executors/collector/sweeper dominate a run.  When no profiler is
+attached the kernel pays one ``is not None`` check per ``run()``.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ class KernelProfiler:
         self.events_processed = 0
         self.max_heap_depth = 0
         self.heap_depth_sum = 0
-        #: process name -> cumulative wall seconds inside its generator
+        #: owner name -> cumulative wall seconds inside its callbacks
         self.process_wall: Dict[str, float] = {}
-        #: process name -> number of resumptions
+        #: owner name -> number of callbacks run
         self.process_resumes: Dict[str, int] = {}
         self._wall_start = time.perf_counter()
 
@@ -53,7 +55,7 @@ class KernelProfiler:
             self.max_heap_depth = heap_depth
 
     def note_resume(self, name: str, wall_seconds: float) -> None:
-        """Called by :class:`~repro.des.process.Process` per resumption."""
+        """Called by :meth:`Environment.step` once per callback run."""
         self.process_wall[name] = self.process_wall.get(name, 0.0) + wall_seconds
         self.process_resumes[name] = self.process_resumes.get(name, 0) + 1
 

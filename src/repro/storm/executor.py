@@ -1,16 +1,29 @@
-"""Executors: the processes that actually move and process tuples.
+"""Executors: the state machines that actually move and process tuples.
 
 One executor runs one task (Storm's default of one task per executor).
-Bolt executors loop ``dequeue -> service -> execute -> route``, where the
-*service* step occupies the node's CPU and is dilated by co-location
-interference (:mod:`repro.storm.node`), worker misbehaviour
-(:mod:`repro.storm.worker`), and multiplicative noise.  Spout executors
-pace emissions by the spout's arrival process, enforce
-``max_spout_pending`` flow control, and replay failed messages.
+An executor is not a coroutine: every transition is a plain method that
+the event loop calls as the callback of the one event the executor waits
+on; between events it holds no Python frame.
 
-All cross-task delivery goes through :class:`Transport`, which applies
-placement-dependent latency (same worker < same node < cross node) and
-preserves per-link FIFO order.
+* Consumer: a :class:`BoltExecutor` is *idle* (its input
+  :class:`~repro.des.stores.Store` owes it the next envelope) or *in
+  service*.  ``on_arrival`` starts service inside the event that
+  delivered the envelope; ``on_service_done`` fires with the service
+  ``Timeout``, executes the bolt, routes, acks, and takes the next
+  envelope or goes idle.  A hop is two events: delivery and service.
+* Processor: the service step occupies the node's CPU and is dilated by
+  co-location interference (:mod:`repro.storm.node`), worker
+  misbehaviour (:mod:`repro.storm.worker`), and multiplicative noise.
+* Producer: a :class:`SpoutExecutor` paces emissions by the spout's
+  arrival process (``on_emit_due`` fires with the pacing ``Timeout``),
+  enforces ``max_spout_pending`` flow control, and replays failures.
+* Transport: all cross-task delivery goes through :class:`Transport`,
+  which applies placement-dependent latency (same worker < same node <
+  cross node) and preserves per-link FIFO order.
+
+A paused or crashed worker is a gate event whose callbacks are the
+executors waiting to go on.  Only low-rate actors stay generator
+processes (``tick-*`` here; collector, sweeper, faults, controllers).
 """
 
 from __future__ import annotations
@@ -18,11 +31,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple as Tup
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple as Tup
 
 import numpy as np
 
-from repro.des.events import Event
+from repro.des.events import URGENT, Event, Timeout
 from repro.des.stores import Store
 from repro.obs.tracer import (
     TUPLE_DROP,
@@ -49,14 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Stream name used for tick envelopes (never routed downstream).
 TICK_STREAM = "__tick"
 
-
-def call_later(env: "Environment", delay: float, fn: Callable[[], None]) -> None:
-    """Run ``fn`` after ``delay`` sim-seconds without spawning a process."""
-    ev = Event(env)
-    ev._ok = True
-    ev._value = None
-    ev.callbacks.append(lambda _e: fn())  # type: ignore[union-attr]
-    env.schedule(ev, delay=delay)
+#: Service-noise normals drawn per call into an executor's stream.
+NOISE_BLOCK = 256
 
 
 @dataclass(slots=True)
@@ -80,6 +87,9 @@ class Transport:
     out in the acker and the spout replays it — Storm's recovery path for
     messages lost on the wire or sent to a died worker.
     """
+
+    #: the kernel profiler's row for delivery events
+    name = "transport"
 
     def __init__(
         self,
@@ -178,8 +188,9 @@ class Transport:
         how the caller grouped its sends.
 
         All surviving transfers with the same placement latency share a
-        single delivery event instead of one event each, cutting the
-        per-event allocation of multi-consumer emissions.  Order
+        single delivery event (a ``Timeout`` whose value is the batch)
+        instead of one event each, cutting the per-event allocation of
+        multi-consumer emissions.  Order
         preservation: the sends were scheduled back-to-back (their
         sequence numbers are consecutive, so no foreign event can sort
         between them at equal ``(time, priority)``), hence delivering a
@@ -192,7 +203,6 @@ class Transport:
         growing (visible to the metrics layer as ``backlog``).
         """
         env = self.env
-        shed = self.config.overflow_policy == "shed"
         tr = self.tracer
         groups: Dict[float, List[Tup[int, Tuple]]] = {}
         for dst_task, tup in sends:
@@ -224,11 +234,9 @@ class Transport:
                 )
             groups.setdefault(delay, []).append((dst_task, tup))
         for delay, batch in groups.items():  # insertion = first-send order
-            call_later(
-                env, delay, lambda b=batch: self._deliver_batch(b, shed)
-            )
+            Timeout(env, delay, batch).callbacks.append(self._on_delivery)
 
-    def _deliver_batch(self, batch: List[Tup[int, Tuple]], shed: bool) -> None:
+    def _on_delivery(self, event: Event) -> None:
         """Arrival of one same-delay delivery group, in emission order.
 
         The common configuration — no tracer, ``buffer`` overflow policy
@@ -237,8 +245,10 @@ class Transport:
         run (and crash losses counted per run), which preserves the
         per-tuple arrival order exactly.
         """
+        batch: List[Tup[int, Tuple]] = event._value
         env = self.env
         tr = self.tracer
+        shed = self.config.overflow_policy == "shed"
         if tr is None and not shed:
             now = env.now
             queues = self.queues
@@ -316,7 +326,7 @@ class BaseExecutor:
         self.rng = rng
         self.tracer = tracer
         self.metrics = metrics
-        self.queue = Store(env, capacity=config.executor_queue_capacity)
+        self.queue = Store(capacity=config.executor_queue_capacity)
         #: stream -> [(consumer_id, Grouping)]
         self.outbound: Dict[str, List[Tup[str, Grouping]]] = {}
         self.declared_outputs: Dict[str, Tup[str, ...]] = {}
@@ -329,10 +339,12 @@ class BaseExecutor:
         self._plans: Dict[str, Optional[Tup[Tup[str, ...], List[Router]]]] = {}
         self._plan_epoch = -1
         self._next_edge = env.next_edge_id  # bound-method cache (hot path)
-        # service-noise hot path: sigma is static config, the bound rng
-        # method skips one attribute hop per draw (draw order unchanged)
+        # service noise: sigma is static config and ``rng`` feeds nothing
+        # else, so normals are drawn a block at a time (a sized draw
+        # yields the same variates as that many scalar draws) and kept
+        # reversed, so that ``pop()`` hands them out in draw order
         self._noise_sigma = float(config.service_noise_sigma)
-        self._rng_normal = rng.normal
+        self._noise_block: List[float] = []
         # cumulative counters (metrics layer diffs these per interval)
         self.executed_count = 0
         self.emitted_count = 0
@@ -344,6 +356,14 @@ class BaseExecutor:
         self.running = True
         worker.executors.append(self)
         transport.register(task_id, self.queue, worker)
+        # Start at the current time through an URGENT init event, as a
+        # Process does: executors and processes start in creation order.
+        init = Event(env)
+        init.callbacks.append(self._start)  # type: ignore[union-attr]
+        init.succeed(None, priority=URGENT)
+
+    def _start(self, _event: Event) -> None:
+        """First transition (spout and bolt executors override it)."""
 
     # -- emission routing (shared by spout and bolt paths) ---------------------------
 
@@ -351,8 +371,11 @@ class BaseExecutor:
         sigma = self._noise_sigma
         if sigma <= 0:
             return 1.0
+        block = self._noise_block
+        if not block:
+            block.extend(self.rng.normal(0.0, sigma, NOISE_BLOCK)[::-1].tolist())
         # lognormal with unit median: median-preserving multiplicative noise
-        return float(math.exp(self._rng_normal(0.0, sigma)))
+        return math.exp(block.pop())
 
     def route_emission(
         self,
@@ -500,9 +523,8 @@ class SpoutExecutor(BaseExecutor):
         self.trees_opened = 0  # reliable emissions (one ack tree each)
         self._wake: Optional[Event] = None
         self.ledger.register_spout(self.task_id, self._on_ack, self._on_fail)
-        self.process = self.env.process(
-            self.run(), name=f"spout-{self.component_id}-{self.task_id}"
-        )
+        #: the kernel profiler's row for this executor's callbacks
+        self.name = f"spout-{self.component_id}-{self.task_id}"
 
     # -- reliability callbacks (invoked synchronously by the ledger) ----------------
 
@@ -543,61 +565,78 @@ class SpoutExecutor(BaseExecutor):
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed(None)
 
-    # -- main loop -----------------------------------------------------------------
+    # -- emission loop ---------------------------------------------------------------
 
-    def run(self):
+    def _start(self, _event: Event) -> None:
         self.spout.open(self.context)
-        try:
-            while self.running:
-                # Flow control: block while the pending window is full.
-                while (
-                    len(self.pending) >= self.config.max_spout_pending
-                    and self.running
-                ):
-                    self._wake = Event(self.env)
-                    yield self._wake
-                    self._wake = None
+        self._advance()
+
+    def _await_signal(self) -> None:
+        """Go on at the next ack or fail (see :meth:`_signal`)."""
+        self._wake = Event(self.env)
+        self._wake.callbacks.append(self._advance)  # type: ignore[union-attr]
+
+    def _pass_gate(self, _event: Event) -> None:
+        self._advance(past_gate=True)
+
+    def _advance(
+        self, _event: Optional[Event] = None, past_gate: bool = False
+    ) -> None:
+        """Run the emission loop up to its next wait: a full pending
+        window or an exhausted stream with messages in flight (both end
+        at the next ack/fail), the worker's pause gate, or the pacing
+        timeout that ends in :meth:`on_emit_due`.  Replays are emitted
+        in this loop, not by recursion: a burst of failures costs no stack.
+        """
+        self._wake = None
+        while True:
+            if not past_gate:
                 if not self.running:
                     break
+                # Flow control: block while the pending window is full.
+                if len(self.pending) >= self.config.max_spout_pending:
+                    return self._await_signal()
                 gate = self.worker.pause_gate()
                 if gate is not None:
-                    yield gate
-                if self.replay_queue:
-                    rec = self.replay_queue.popleft()
-                    self._emit_record(rec)
-                    continue
-                delay = self.spout.inter_arrival()
-                if delay is None or not math.isfinite(delay):
-                    # Stream exhausted — but reliability work may remain:
-                    # in-flight messages can still fail and need replaying,
-                    # so only terminate once everything is resolved.
-                    if not self.pending and not self.replay_queue:
-                        break
-                    self._wake = Event(self.env)
-                    yield self._wake
-                    self._wake = None
-                    continue
-                wait = max(0.0, delay)
-                rate = self.admission_rate
-                if rate < 1.0:
-                    # Throttled admission: stretch the gap.  Skipped
-                    # entirely at full rate so unthrottled runs stay
-                    # bitwise identical to the pre-throttle code.
-                    wait = wait / rate
-                yield self.env.timeout(wait)
-                emission = self.spout.next_tuple()
-                if emission is None:
-                    continue
-                rec = SpoutRecord(
+                    gate.callbacks.append(self._pass_gate)
+                    return
+            past_gate = False
+            if self.replay_queue:
+                self._emit_record(self.replay_queue.popleft())
+                continue
+            delay = self.spout.inter_arrival()
+            if delay is None or not math.isfinite(delay):
+                # Stream exhausted — but reliability work may remain:
+                # in-flight messages can still fail and need replaying,
+                # so only terminate once everything is resolved.
+                if not self.pending and not self.replay_queue:
+                    break
+                return self._await_signal()
+            wait = max(0.0, delay)
+            rate = self.admission_rate
+            if rate < 1.0:
+                # Throttled admission: stretch the gap.  Skipped
+                # entirely at full rate so unthrottled runs stay
+                # bitwise identical to the pre-throttle code.
+                wait = wait / rate
+            Timeout(self.env, wait).callbacks.append(self.on_emit_due)
+            return
+        self.spout.close()
+
+    def on_emit_due(self, _event: Event) -> None:
+        """The pacing timeout fired: emit one new message, then go on."""
+        emission = self.spout.next_tuple()
+        if emission is not None:
+            self._emit_record(
+                SpoutRecord(
                     msg_id=emission.msg_id,
                     values=tuple(emission.values),
                     stream=emission.stream,
                     root_id=0,
                     emit_time=self.env.now,
                 )
-                self._emit_record(rec)
-        finally:
-            self.spout.close()
+            )
+        self._advance()
 
     def _emit_record(self, rec: SpoutRecord) -> None:
         """Emit (or re-emit) one spout message and open its ack tree."""
@@ -650,9 +689,10 @@ class BoltExecutor(BaseExecutor):
             self._m_service = self.metrics.histogram(
                 "bolt.service_seconds", component=self.component_id
             )
-        self.process = self.env.process(
-            self.run(), name=f"bolt-{self.component_id}-{self.task_id}"
-        )
+        #: the kernel profiler's row for this executor's callbacks
+        self.name = f"bolt-{self.component_id}-{self.task_id}"
+        #: the one envelope held while the worker's pause gate is shut
+        self._held: Optional[Envelope] = None
         if self.config.tick_interval > 0:
             self.env.process(
                 self._ticker(), name=f"tick-{self.component_id}-{self.task_id}"
@@ -666,47 +706,54 @@ class BoltExecutor(BaseExecutor):
             if not self.queue.try_put(Envelope(tick, self.env.now)):
                 self.tick_dropped += 1  # overloaded: ticks are best-effort
 
-    def run(self):
+    # -- service loop ----------------------------------------------------------------
+
+    def _start(self, _event: Event) -> None:
         self.bolt.prepare(self.context)
-        queue = self.queue
-        take_nowait = queue.take_nowait
-        begin = self._begin_service
-        finish = self._finish_service
-        timeout = self.env.timeout
-        try:
-            while self.running:
-                gate = self.worker.pause_gate()
-                if gate is not None:
-                    yield gate
-                # Drain-and-serve fast path: a backlogged queue hands the
-                # head envelope over synchronously — no get event, no
-                # consumer wakeup, no extra pause-gate recheck
-                # (nothing yielded, so the gate cannot have changed).
-                # The service timeout below is then the loop's single
-                # rescheduling event per tuple.
-                envelope = take_nowait()
-                if envelope is None:
-                    envelope = yield queue.get()
-                    gate = self.worker.pause_gate()
-                    if gate is not None:
-                        yield gate
-                # The per-tuple work is split around its one yield point
-                # (the service timeout) into two plain calls, so the hot
-                # loop never pays a nested generator per envelope.
-                tup, is_tick, wait, node, service = begin(envelope)
-                yield timeout(service)
-                finish(tup, is_tick, wait, node, service)
-        finally:
+        self._next()
+
+    def _next(self) -> None:
+        """Top of the service loop: stop, wait out a shut pause gate, or
+        take the next envelope."""
+        if not self.running:
             self.bolt.cleanup()
+            return
+        gate = self.worker.pause_gate()
+        if gate is not None:
+            gate.callbacks.append(self._take)
+        else:
+            self._take()
 
-    def _begin_service(self, envelope: Envelope):
-        """Pre-yield half of tuple processing: trace, pick the service time.
+    def _take(self, _event: Optional[Event] = None) -> None:
+        """Serve the head of the queue, or go idle: the queue then owes
+        the next envelope put to :meth:`on_arrival`."""
+        envelope = self.queue.take(self.on_arrival)
+        if envelope is not None:
+            self._begin_service(envelope)
 
-        Returns the state :meth:`_finish_service` needs after the caller
-        has yielded the service timeout.  The node is pinned across the
-        yield: an elastic migration can re-home this executor
-        mid-service, and started/finished must pair on the same node's
-        demand counter.
+    def on_arrival(self, envelope: Envelope) -> None:
+        """An envelope reached this bolt while it was idle: service starts
+        here, inside the event that delivered it — unless the worker was
+        paused or crashed meanwhile; then it is held until the gate opens."""
+        gate = self.worker.pause_gate()
+        if gate is None:
+            self._begin_service(envelope)
+        else:
+            self._held = envelope
+            gate.callbacks.append(self._serve_held)
+
+    def _serve_held(self, _event: Event) -> None:
+        envelope, self._held = self._held, None
+        self._begin_service(envelope)  # type: ignore[arg-type]
+
+    def _begin_service(self, envelope: Envelope) -> None:
+        """First half of tuple processing: trace, pick the service time,
+        schedule the service timeout.
+
+        The timeout's value is the state :meth:`on_service_done` needs.
+        The node is pinned across the wait: an elastic migration can
+        re-home this executor mid-service, and started/finished must
+        pair on the same node's demand counter.
         """
         tup = envelope.tup
         wait = self.env.now - envelope.enqueue_time
@@ -727,17 +774,14 @@ class BoltExecutor(BaseExecutor):
             * dilation
             * self.worker.slow_factor
         )
-        return tup, is_tick, wait, node, service
+        Timeout(
+            self.env, service, (tup, is_tick, wait, node, service)
+        ).callbacks.append(self.on_service_done)
 
-    def _finish_service(
-        self,
-        tup: Tuple,
-        is_tick: bool,
-        wait: float,
-        node: "Node",
-        service: float,
-    ) -> None:
-        """Post-yield half: execute the bolt, route, ack, count."""
+    def on_service_done(self, event: Event) -> None:
+        """The service timeout fired — second half of tuple processing:
+        execute the bolt, route, ack, count; then on to the next envelope."""
+        tup, is_tick, wait, node, service = event._value
         node.service_finished()
         tr = self.tracer
         if tr is not None and not is_tick:
@@ -790,6 +834,7 @@ class BoltExecutor(BaseExecutor):
             if self._m_wait is not None:
                 self._m_wait.add(wait)
                 self._m_service.add(service)
+        self._next()
 
     def _ack_tuple(self, tup: Tuple) -> None:
         for root in tup.roots:

@@ -15,6 +15,7 @@ immediately.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as Tup
 
 import numpy as np
@@ -410,18 +411,30 @@ class DynamicGrouping(Grouping):
                 f"{len(target_tasks)}"
             )
         self.control = control
-        self._credit = np.zeros(len(target_tasks))
+        # Credit and ratios are plain float lists: per-tuple arithmetic on
+        # a handful of targets is cheaper element by element than through
+        # NumPy scalar calls, and IEEE-identical to it.
+        self._credit = [0.0] * len(target_tasks)
+        self._ratios: List[float] = control.ratios.tolist()
         self._seen_version = control.version
 
     def choose(self, tup: Tuple) -> List[int]:
-        if self.control.version != self._seen_version:
+        control = self.control
+        credit = self._credit
+        if control.version != self._seen_version:
             # Ratios changed: clear accumulated credit so the new split
             # takes effect immediately rather than paying back old debt.
-            self._credit[:] = 0.0
-            self._seen_version = self.control.version
-        self._credit += self.control.ratios
-        winner = int(np.argmax(self._credit))
-        self._credit[winner] -= 1.0
+            credit[:] = [0.0] * len(credit)
+            self._ratios = control.ratios.tolist()
+            self._seen_version = control.version
+        winner = 0
+        top = -math.inf
+        for i, ratio in enumerate(self._ratios):
+            c = credit[i] = credit[i] + ratio
+            if c > top:  # strict: the first maximum wins, as np.argmax
+                top = c
+                winner = i
+        credit[winner] -= 1.0
         return [self.target_tasks[winner]]
 
 

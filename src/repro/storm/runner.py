@@ -257,8 +257,7 @@ class StormSimulation:
         # back-to-back simulations in one process stay independent.
         self.obs = Observability(observability)
         self.env = Environment()
-        if self.obs.profiler is not None:
-            self.env.set_profiler(self.obs.profiler)
+        self.env.profiler = self.obs.profiler
         self.cluster = Cluster(
             self.env, nodes, seed=seed, tracer=self.obs.tracer,
             metrics=self.obs.metrics,

@@ -15,6 +15,7 @@ turns it into scheduled executors.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as Tup
 
@@ -71,6 +72,23 @@ class TopologyConfig:
             raise ValueError("max_spout_pending must be >= 1")
         if self.executor_queue_capacity < 1:
             raise ValueError("executor_queue_capacity must be >= 1")
+        if self.max_replays < 0:
+            raise ValueError("max_replays must be >= 0")
+        # ``not x >= 0`` also catches NaN; these values end up as event
+        # delays or service-time factors, where a bad one would otherwise
+        # fail (or silently skew the run) in the middle of a simulation.
+        for name in (
+            "service_noise_sigma",
+            "inter_node_latency",
+            "intra_node_latency",
+            "intra_worker_latency",
+            "tick_interval",
+        ):
+            value = getattr(self, name)
+            if not value >= 0 or math.isinf(value):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not self.ack_sweep_interval > 0:
+            raise ValueError("ack_sweep_interval must be positive")
 
 
 @dataclass

@@ -128,8 +128,9 @@ class Worker:
             ev.succeed(None)
 
     def pause_gate(self) -> Optional["Event"]:
-        """Event executors must wait on while the worker is paused/crashed."""
-        return self._resume_event if self._blocked() else None
+        """Event executors must wait on while the worker is paused/crashed
+        (the gate exists exactly while the worker is blocked)."""
+        return self._resume_event
 
     # -- introspection ---------------------------------------------------------------
 

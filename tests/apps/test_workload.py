@@ -95,6 +95,34 @@ def test_zipf_deterministic_given_rng():
     ]
 
 
+def test_zipf_rank_is_bit_equal_to_searchsorted():
+    # The rank comes from bisect_left on the cdf as a list; the reference
+    # is np.searchsorted (default side) on the cdf as an array —
+    # including u exactly on a cdf value, one ulp either side of it, and
+    # u above the last cdf value (float round-off can leave it below 1).
+    class ScriptedRng:
+        def __init__(self, us):
+            self.us = iter(us)
+
+        def random(self):
+            return next(self.us)
+
+        def integers(self, n):
+            return 0
+
+    gen = ZipfUrlGenerator(np.random.default_rng(0), n_urls=50, skew=1.1)
+    weights = 1.0 / np.arange(1, 51, dtype=float) ** 1.1
+    cdf = np.cumsum(weights / weights.sum())
+    us = [0.0, 1.0, float(np.nextafter(cdf[-1], 2.0))]
+    for c in cdf:
+        us += [float(c), float(np.nextafter(c, 0.0)), float(np.nextafter(c, 2.0))]
+    us += np.random.default_rng(3).random(500).tolist()
+    gen.rng = ScriptedRng(us)
+    for u in us:
+        rank = int(np.searchsorted(cdf, u))
+        assert gen.next_event() == ("user-0", f"http://site-{rank}.example/page")
+
+
 def test_zipf_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):

@@ -57,6 +57,29 @@ def test_schema_mismatch_is_its_own_exit_code():
     assert gate.compare(_doc({}), _doc({}, schema="other/9"), 0.25) == 2
 
 
+def test_scale_or_protocol_mismatch_exits_2_with_a_message(capsys):
+    def doc(scale="smoke", warmup=2, repeats=9):
+        return dict(
+            _doc({"a": _res([0.010])}),
+            scale=scale,
+            protocol={"warmup": warmup, "repeats": repeats, "statistic": "median"},
+        )
+
+    assert gate.compare(doc(), doc(), 0.25) == 0
+    capsys.readouterr()
+    for other, what in (
+        (doc(scale="full"), "scale"),
+        (doc(warmup=1), "protocol.warmup"),
+        (doc(repeats=5), "protocol.repeats"),
+    ):
+        assert gate.compare(other, doc(), 0.25) == 2
+        assert gate.compare(doc(), other, 0.25) == 2
+        out = capsys.readouterr().out
+        assert out.count(f"{what} mismatch") == 2 and "ms" not in out
+    # a baseline that records neither (older files) only matches its like
+    assert gate.compare(_doc({}), doc(), 0.25) == 2
+
+
 def test_main_reads_files(tmp_path):
     doc = _doc({"a": _res([0.010])}, {"a": 2.0})
     bench = tmp_path / "bench.json"

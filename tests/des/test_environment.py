@@ -1,5 +1,6 @@
 """Tests for the DES environment: clock, ordering, run() semantics."""
 
+import numpy as np
 import pytest
 
 from repro.des import Environment, Event
@@ -34,6 +35,22 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         env.timeout(-1)
+
+
+@pytest.mark.parametrize("nan", [float("nan"), np.float64("nan")])
+def test_nan_delay_rejected_before_it_reaches_the_queue(nan):
+    # NaN compares false with everything: it would pass ``delay < 0``,
+    # sit unordered in the heap and set the clock to NaN when popped.
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.timeout(nan)
+    with pytest.raises(ValueError):
+        env.schedule(env.event(), delay=nan)
+    assert env.queue_depth == 0 and env.scheduled_count == 0
+    env.timeout(0.0)  # zero and positive delays still pass
+    env.schedule(env.event(), delay=np.float64(1.5))
+    env.run()
+    assert env.now == 1.5
 
 
 def test_timeouts_pass_values_and_fire_on_time():

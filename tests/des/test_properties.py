@@ -53,15 +53,14 @@ def test_equal_time_events_fire_in_creation_order(delays):
 @given(
     n_items=st.integers(min_value=1, max_value=60),
     capacity=st.integers(min_value=1, max_value=8),
-    n_consumers=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_store_conserves_items_under_random_interleaving(
-    n_items, capacity, n_consumers, seed
+    n_items, capacity, seed
 ):
     rng = np.random.default_rng(seed)
     env = Environment()
-    store = Store(env, capacity=capacity)
+    store = Store(capacity=capacity)
     produced = list(range(n_items))
     consumed = []
 
@@ -70,43 +69,36 @@ def test_store_conserves_items_under_random_interleaving(
             yield env.timeout(float(rng.random()))
             store.put(item)
 
-    def consumer(env):
-        while len(consumed) < n_items:
-            item = yield store.get()
-            consumed.append(item)
-            yield env.timeout(float(rng.random()))
+    def serve(item):
+        consumed.append(item)
+        env.timeout(float(rng.random())).callbacks.append(take_next)
+
+    def take_next(_event=None):
+        item = store.take(serve)
+        if item is not None:
+            serve(item)
 
     env.process(producer(env))
-    for _ in range(n_consumers):
-        env.process(consumer(env))
+    take_next()
     env.run(until=10_000)
-    # nothing lost, nothing duplicated, and one producer's items leave
+    # nothing lost, nothing duplicated, and the producer's items leave
     # the store in the order they entered it
     assert consumed == produced
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    ops=st.lists(st.sampled_from(["put", "get"]), min_size=1, max_size=60),
+    ops=st.lists(st.sampled_from(["put", "take"]), min_size=1, max_size=60),
 )
 def test_store_level_never_exceeds_capacity(ops):
-    env = Environment()
-    store = Store(env, capacity=3)
-    violations = []
-
-    def driver(env):
-        for op in ops:
-            if op == "put":
-                store.put(object())
-            else:
-                store.get()
-            if store.level > store.capacity:
-                violations.append(store.level)
-            yield env.timeout(0.1)
-
-    env.process(driver(env))
-    env.run()
-    assert violations == []
+    store = Store(capacity=3)
+    handed = []
+    for op in ops:
+        if op == "put":
+            store.put(object())
+        else:
+            store.take(handed.append)
+        assert store.level <= store.capacity
 
 
 @settings(max_examples=25, deadline=None)

@@ -131,6 +131,43 @@ def test_partial_key_hot_key_stays_balanced(tasks, key):
         assert counts[1] - counts[0] <= 1
 
 
+# Ratios drawn from a few repeated values (exact ties, zeros) and from
+# arbitrary floats; ``None`` steps re-split mid-sequence.
+ratio_values = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0 / 3.0]),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n_targets=st.integers(1, 8))
+def test_dynamic_choose_is_bit_equal_to_the_numpy_reference(data, n_targets):
+    """The float-list credit loop picks, tuple for tuple, what the NumPy
+    formulation (``credit += ratios; argmax; credit[w] -= 1``) picks, and
+    leaves the same credit behind."""
+    vectors = st.lists(
+        ratio_values, min_size=n_targets, max_size=n_targets
+    ).filter(lambda v: sum(v) > 0)
+    control = SplitRatioControl(n_targets, data.draw(vectors))
+    tasks = list(range(100, 100 + n_targets))
+    g = DynamicGrouping(tasks, control)
+    credit = np.zeros(n_targets)
+    steps = data.draw(
+        st.lists(st.one_of(st.none(), st.just("choose")), max_size=120)
+    )
+    for step in steps:
+        if step is None:
+            control.set_ratios(data.draw(vectors))
+            credit[:] = 0.0
+            continue
+        credit += control.ratios
+        winner = int(np.argmax(credit))
+        credit[winner] -= 1.0
+        assert g.choose(None) == [tasks[winner]]
+        assert g._credit == credit.tolist()
+
+
+
 # --- permutation stability ------------------------------------------------------
 
 

@@ -196,7 +196,7 @@ def _make_executor():
         rng=np.random.default_rng(0),
     )
     for task in (11, 12):
-        transport.register(task, Store(env), Worker(env, task, node))
+        transport.register(task, Store(), Worker(env, task, node))
     ex.declared_outputs = {"s": ("k",), "idle": ("k",)}
     return env, ex, transport
 

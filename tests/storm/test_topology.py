@@ -165,6 +165,44 @@ def test_config_validation():
         TopologyConfig(executor_queue_capacity=0).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("service_noise_sigma", -0.1),
+        ("service_noise_sigma", float("nan")),
+        ("service_noise_sigma", float("inf")),
+        ("inter_node_latency", -1e-3),
+        ("inter_node_latency", float("nan")),
+        ("intra_node_latency", -1e-4),
+        ("intra_node_latency", float("inf")),
+        ("intra_worker_latency", -1e-5),
+        ("intra_worker_latency", float("nan")),
+        ("tick_interval", -1.0),
+        ("tick_interval", float("nan")),
+        ("ack_sweep_interval", 0.0),
+        ("ack_sweep_interval", -1.0),
+        ("ack_sweep_interval", float("nan")),
+        ("max_replays", -1),
+    ],
+)
+def test_config_rejects_values_that_would_fail_mid_run(field, value):
+    with pytest.raises(ValueError, match=field):
+        TopologyConfig(**{field: value}).validate()
+    b = TopologyBuilder()
+    b.set_spout("src", CounterSpout())
+    b.set_bolt("b", SinkBolt()).shuffle_grouping("src")
+    with pytest.raises(ValueError, match=field):
+        b.build("bad", TopologyConfig(**{field: value}))  # at build time
+
+
+def test_config_accepts_the_boundary_values():
+    TopologyConfig(
+        service_noise_sigma=0.0, inter_node_latency=0.0, intra_node_latency=0.0,
+        intra_worker_latency=0.0, tick_interval=0.0, max_replays=0,
+        ack_sweep_interval=1e-9,
+    ).validate()
+
+
 def test_multiple_subscriptions_same_bolt():
     b = TopologyBuilder()
     b.set_spout("s1", CounterSpout())

@@ -1,10 +1,10 @@
-"""Unit tests for Transport latency selection, call_later, OutputCollector."""
+"""Unit tests for Transport latency selection, delivery events, OutputCollector."""
 
 import pytest
 
 from repro.des import Environment, Store
 from repro.storm.api import OutputCollector
-from repro.storm.executor import Envelope, Transport, call_later
+from repro.storm.executor import Envelope, Transport
 from repro.storm.node import Node
 from repro.storm.topology import TopologyConfig
 from repro.storm.tuples import Tuple
@@ -25,7 +25,7 @@ def make_transport():
     w1 = Worker(env, 1, n0)  # same node as w0
     w2 = Worker(env, 2, n1)  # other node
     for task, worker in ((10, w0), (11, w1), (12, w2)):
-        t.register(task, Store(env), worker)
+        t.register(task, Store(), worker)
     return env, t, (w0, w1, w2)
 
 
@@ -59,20 +59,23 @@ def test_deliver_preserves_per_link_order():
     assert values == [0, 1, 2, 3, 4]
 
 
-def test_call_later_runs_once_at_delay():
-    env = Environment()
-    hits = []
-    call_later(env, 5.0, lambda: hits.append(env.now))
-    env.run()
-    assert hits == [5.0]
+def test_one_delivery_event_per_latency_group_carries_its_batch():
+    env, t, (w0, _w1, _w2) = make_transport()
+    a, b, c = (Tuple(values=(i,)) for i in range(3))
+    before = env.scheduled_count
+    t.deliver(w0, [(11, a), (12, b), (11, c)])
+    # two latency tiers -> two events, each holding its sends in order
+    assert env.scheduled_count == before + 2
+    assert sorted((when, ev.value) for when, _p, _s, ev in env._queue) == [
+        (1e-4, [(11, a), (11, c)]),
+        (1e-3, [(12, b)]),
+    ]
 
 
-def test_call_later_zero_delay():
-    env = Environment()
-    hits = []
-    call_later(env, 0.0, lambda: hits.append(env.now))
-    env.run()
-    assert hits == [0.0]
+def test_call_later_is_gone():
+    import repro.storm.executor as executor
+
+    assert not hasattr(executor, "call_later")
 
 
 # --- batched delivery ----------------------------------------------------------------
