@@ -59,6 +59,8 @@ SCALES: Dict[str, Dict[str, int]] = {
         "campaign_runs": 4,
         "campaign_horizon": 30,
         "campaign_rate": 60,
+        "report_rate": 150,
+        "report_duration": 20,
     },
     "full": {
         "kernel_procs": 50,
@@ -80,6 +82,8 @@ SCALES: Dict[str, Dict[str, int]] = {
         "campaign_runs": 16,
         "campaign_horizon": 60,
         "campaign_rate": 120,
+        "report_rate": 250,
+        "report_duration": 120,
     },
 }
 
@@ -237,6 +241,41 @@ def make_topology_throughput(scale: Dict[str, int]) -> Callable[[], int]:
         return int(
             sum(ex.executed_count for ex in sim.cluster.executors.values())
         )
+
+    return run
+
+
+# -- report path: span forest + attribution ------------------------------------------
+
+
+def make_obs_report_build(scale: Dict[str, int]) -> Callable[[], int]:
+    """What ``repro-report`` pays on top of a traced run.
+
+    One traced URL Count mini-run is simulated here, outside the timed
+    region; every call rebuilds the span forest from its retained
+    events, attributes it and renders ``to_dict()``.  Work units are
+    trees attributed.
+    """
+    from repro.apps import RateProfile, build_url_count_topology
+    from repro.obs import attribute_forest, build_span_forest
+    from repro.storm.builder import SimulationBuilder
+
+    topology = build_url_count_topology(
+        RateProfile(base=float(scale["report_rate"])), grouping="shuffle"
+    )
+    sim = (
+        SimulationBuilder(topology)
+        .seed(3)
+        .observability(trace=True, trace_capacity=1 << 20)
+        .build()
+    )
+    sim.run(float(scale["report_duration"]))
+    events = sim.obs.tracer.events()
+
+    def run() -> int:
+        summary = attribute_forest(build_span_forest(events))
+        summary.to_dict()
+        return summary.attributed
 
     return run
 
@@ -464,6 +503,7 @@ BENCHMARKS: Dict[str, Callable[[Dict[str, int]], Callable[[], int]]] = {
     "des_event_loop": make_des_event_loop,
     "transport_send_deliver": make_transport_send_deliver,
     "topology_throughput": make_topology_throughput,
+    "obs_report_build": make_obs_report_build,
     "monitor_observe_extract": make_monitor_observe_extract,
     "drnn_fit": make_drnn_fit,
     "drnn_predict": make_drnn_predict,

@@ -7,22 +7,30 @@ component *shares* of end-to-end latency, and the bookkeeping needed to
 trust them (how many acked trees were attributable, whether every one of
 them satisfied the bitwise sum invariant).
 
-All internal accumulation stays in exact rationals
-(:class:`fractions.Fraction`); floats appear only at the report boundary,
-so the emitted JSON is byte-identical across ``--jobs`` values and
-platforms for the same simulated run.
+Accumulation is one critical-path walk per tree that *appends* the signed
+recorded timestamps of :func:`~repro.obs.spans.path_terms` to compact
+float columns, so nothing rounds.  A column is reduced exactly
+(:func:`~repro.obs.spans.exact_sum`) when a reader asks for its
+:class:`~fractions.Fraction` — the rational that per-hop algebra would
+have built — and floats appear only at the report boundary, so the JSON
+is byte-identical across ``--jobs`` values and platforms for one run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.spans import (
     LatencyBreakdown,
     SpanForest,
     SpanTree,
+    Terms,
+    exact_sum,
+    path_terms,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,47 +55,77 @@ COMPONENTS = ("queue", "service", "transit", "replay")
 
 @dataclass(frozen=True)
 class TreeAttribution:
-    """One attributed (acked, path-complete) tuple tree."""
+    """One attributed (acked, path-complete) tuple tree; everything but
+    the aggregate's own findings is read, or rebuilt on access, from it."""
 
-    root: int
-    msg_id: Any
-    close_time: float
-    #: acker-recorded attempt latency
-    latency: float
-    retries: int
-    path: Tuple[str, ...]
-    breakdown: LatencyBreakdown
-    #: bitwise sum invariant: ``breakdown.total() == latency``
+    tree: SpanTree
+    #: bitwise sum invariant ``breakdown.total() == latency``, evaluated
+    #: as ``fl(close - emit) == latency``: the components telescope to
+    #: exactly ``close - emit`` whatever the hops recorded, and one IEEE
+    #: subtraction rounds that rational as ``float(Fraction)`` does
     exact: bool
-    #: replay penalty resolvable (first attempt's emit in the window)
-    replay_known: bool
+    #: replay-penalty terms ``(+emit, -first_emit)``, ``()`` for a first
+    #: attempt; ``None`` = first emission outside the trace window, the
+    #: penalty is unknown and counted as 0
+    replay: Optional[Terms]
+
+    root = property(lambda self: self.tree.root)
+    msg_id = property(lambda self: self.tree.msg_id)
+    close_time = property(lambda self: self.tree.close_time)
+    latency = property(lambda self: self.tree.latency)  # acker-recorded
+    retries = property(lambda self: self.tree.retries)
+    replay_known = property(lambda self: self.replay is not None)
+
+    @property
+    def path(self) -> Tuple[str, ...]:
+        return self.tree.path_components() or ()
+
+    @property
+    def breakdown(self) -> LatencyBreakdown:
+        penalty = exact_sum(self.replay or ())
+        return replace(self.tree.breakdown(), replay=penalty)
 
 
-@dataclass
 class _Bucket:
-    """Exact-rational component sums over one aggregation key."""
+    """Signed float term columns of one aggregation key, plus a count.
 
-    queue: Fraction = Fraction(0)
-    service: Fraction = Fraction(0)
-    transit: Fraction = Fraction(0)
-    replay: Fraction = Fraction(0)
-    count: int = 0
+    ``queue``/``service``/``transit``/``replay`` read as the exact
+    :class:`~fractions.Fraction` sum of the column, reduced on first
+    read and kept until the next :meth:`add`.
+    """
 
-    def add(self, b: LatencyBreakdown) -> None:
-        self.queue += b.queue
-        self.service += b.service
-        self.transit += b.transit
-        self.replay += b.replay
-        self.count += 1
+    __slots__ = ("_columns", "_sums", "count")
+
+    def __init__(self) -> None:
+        self._columns = tuple(array("d") for _ in COMPONENTS)
+        self._sums: Optional[Tuple[Fraction, ...]] = None
+        self.count = 0
+
+    def add(
+        self, queue: Iterable[float] = (), service: Iterable[float] = (),
+        transit: Iterable[float] = (), replay: Iterable[float] = (),
+    ) -> None:
+        q, s, t, r = self._columns
+        q.extend(queue)
+        s.extend(service)
+        t.extend(transit)
+        r.extend(replay)
+        self._sums = None
+
+    def sums(self) -> Tuple[Fraction, ...]:
+        """Exact column sums, in ``COMPONENTS`` order."""
+        if self._sums is None:
+            self._sums = tuple(map(exact_sum, self._columns))
+        return self._sums
+
+    queue = property(lambda self: self.sums()[0])
+    service = property(lambda self: self.sums()[1])
+    transit = property(lambda self: self.sums()[2])
+    replay = property(lambda self: self.sums()[3])
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "queue": float(self.queue),
-            "service": float(self.service),
-            "transit": float(self.transit),
-            "replay": float(self.replay),
-            "tuples": self.count,
-        }
+        seconds = zip(COMPONENTS, map(float, self.sums()))
+        return dict(seconds, tuples=self.count)
 
 
 @dataclass
@@ -97,8 +135,12 @@ class AttributionSummary:
     interval: float
     records: List[TreeAttribution] = field(default_factory=list)
     totals: _Bucket = field(default_factory=_Bucket)
-    per_component: Dict[str, _Bucket] = field(default_factory=dict)
-    per_interval: Dict[int, _Bucket] = field(default_factory=dict)
+    per_component: Dict[str, _Bucket] = field(
+        default_factory=lambda: defaultdict(_Bucket)
+    )
+    per_interval: Dict[int, _Bucket] = field(
+        default_factory=lambda: defaultdict(_Bucket)
+    )
     #: acked trees whose path could not be reconstructed (ring overwrite)
     incomplete: int = 0
     #: failed trees by reason
@@ -120,15 +162,11 @@ class AttributionSummary:
 
     def shares(self) -> Dict[str, float]:
         """Component fractions of total end-to-end latency (sum ≈ 1)."""
-        t = self.totals
-        total = t.queue + t.service + t.transit + t.replay
-        if total == 0:
-            return {c: 0.0 for c in COMPONENTS}
+        sums = self.totals.sums()
+        total = sum(sums)
         return {
-            "queue": float(t.queue / total),
-            "service": float(t.service / total),
-            "transit": float(t.transit / total),
-            "replay": float(t.replay / total),
+            c: float(v / total) if total else 0.0
+            for c, v in zip(COMPONENTS, sums)
         }
 
     def to_dict(self) -> Dict[str, Any]:
@@ -171,41 +209,28 @@ class AttributionSummary:
         Prometheus exposition and deterministic dumps carry the
         decomposition next to the raw latency histograms.
         """
-        t = self.totals
-        for name, value in (
-            ("queue", t.queue), ("service", t.service),
-            ("transit", t.transit), ("replay", t.replay),
-        ):
+        for name, value in zip(COMPONENTS, self.totals.sums()):
             registry.gauge(f"attribution.{name}_seconds").set(float(value))
         for comp in sorted(self.per_component):
-            b = self.per_component[comp]
-            for name, value in (
-                ("queue", b.queue), ("service", b.service),
-                ("transit", b.transit),
-            ):
+            sums = self.per_component[comp].sums()
+            for name, value in zip(COMPONENTS[:3], sums):  # no replay
                 registry.gauge(
                     f"attribution.{name}_seconds", component=comp
                 ).set(float(value))
-        registry.gauge("attribution.trees", state="attributed").set(
-            self.attributed
-        )
-        registry.gauge("attribution.trees", state="incomplete").set(
-            self.incomplete
-        )
+        for state in ("attributed", "incomplete"):
+            registry.gauge("attribution.trees", state=state).set(
+                getattr(self, state)
+            )
 
     def render_table(self) -> str:
         """Human attribution table: totals, shares, per component."""
         shares = self.shares()
-        t = self.totals
-        lines = [
-            f"{'component':>12}  {'seconds':>12}  {'share %':>8}",
-        ]
-        for name, value in (
-            ("transit", t.transit), ("queue", t.queue),
-            ("service", t.service), ("replay", t.replay),
-        ):
+        seconds = dict(zip(COMPONENTS, self.totals.sums()))
+        lines = [f"{'component':>12}  {'seconds':>12}  {'share %':>8}"]
+        for name in ("transit", "queue", "service", "replay"):
             lines.append(
-                f"{name:>12}  {float(value):12.6f}  {100 * shares[name]:8.2f}"
+                f"{name:>12}  {float(seconds[name]):12.6f}"
+                f"  {100 * shares[name]:8.2f}"
             )
         lines.append("")
         lines.append(
@@ -243,85 +268,42 @@ def attribute_forest(
     """
     if interval <= 0:
         raise ValueError(f"interval must be positive, got {interval}")
-    summary = AttributionSummary(interval=float(interval))
-    summary.replays = forest.replays
-    summary.drops = forest.drops
-    summary.sheds = forest.sheds
-    summary.losses = dict(forest.losses)
-    summary.orphan_events = forest.orphan_events
+    summary = AttributionSummary(
+        interval=float(interval), replays=forest.replays, drops=forest.drops,
+        sheds=forest.sheds, losses=dict(forest.losses),
+        orphan_events=forest.orphan_events,
+    )
     for tree in forest.trees.values():
         if tree.close_kind == "fail":
             reason = tree.fail_reason or "failed"
             summary.failed[reason] = summary.failed.get(reason, 0) + 1
+    stages = summary.per_component
     for tree in forest.acked_trees():
-        base = tree.breakdown()
-        if base is None or tree.latency is None:
+        path = tree.critical_path()
+        if path is None or tree.close_time is None or tree.latency is None:
             summary.incomplete += 1
             continue
-        penalty = forest.replay_penalty(tree)
-        replay_known = penalty is not None
-        b = LatencyBreakdown(
-            queue=base.queue,
-            service=base.service,
-            transit=base.transit,
-            replay=penalty if penalty is not None else Fraction(0),
-        )
-        record = TreeAttribution(
-            root=tree.root,
-            msg_id=tree.msg_id,
-            close_time=tree.close_time,
-            latency=tree.latency,
-            retries=tree.retries,
-            path=tree.path_components() or (),
-            breakdown=b,
-            exact=b.sums_exactly_to(tree.latency),
-            replay_known=replay_known,
-        )
-        summary.records.append(record)
-        summary.totals.add(b)
-        _add_per_component(summary, tree, b)
-        idx = int(tree.close_time // interval)
-        bucket = summary.per_interval.get(idx)
-        if bucket is None:
-            bucket = summary.per_interval[idx] = _Bucket()
-        bucket.add(b)
+        window = summary.per_interval[int(tree.close_time // interval)]
+        window.count += 1
+        # transit and queue belong to the receiving stage's ingress,
+        # service (and the deferred-ack hold) to the stage itself
+        for stage, queue, service, transit in path_terms(tree, path):
+            window.add(queue, service, transit)
+            if stage is not None:
+                bucket = stages[stage]
+                bucket.add(queue, service, transit)
+                bucket.count += 1
+        replay: Optional[Terms] = ()
+        if tree.retries:
+            first = forest.first_emit.get(tree.msg_id)
+            replay = None if first is None else (tree.emit_time, -first)
+        if replay and sum(replay):  # spout re-emission wait, if nonzero
+            spout = tree.spout_component or f"task-{tree.spout_task}"
+            stages[spout].add(replay=replay)
+            window.add(replay=replay)
+        exact = tree.close_time - tree.emit_time == tree.latency
+        summary.records.append(TreeAttribution(tree, exact, replay))
+    for window in summary.per_interval.values():  # every tree is in one
+        summary.totals.add(*window._columns)
+        summary.totals.count += window.count
     return summary
-
-
-def _add_per_component(
-    summary: AttributionSummary, tree: SpanTree, b: LatencyBreakdown
-) -> None:
-    """Attribute per-hop components to the hop's destination stage.
-
-    Transit and queue belong to the receiving component's ingress;
-    service to the component itself; the replay penalty to the spout
-    (it is spout re-emission wait).
-    """
-    path = tree.critical_path() or ()
-    prev = Fraction(tree.emit_time)
-    last_exec = prev
-    for hop in path:
-        comp = hop.component or f"task-{hop.dst_task}"
-        bucket = summary.per_component.get(comp)
-        if bucket is None:
-            bucket = summary.per_component[comp] = _Bucket()
-        wait = Fraction(hop.wait)
-        dequeue = Fraction(hop.queue_time)
-        bucket.transit += (dequeue - wait) - prev
-        bucket.queue += wait
-        bucket.service += Fraction(hop.exec_time) - dequeue
-        bucket.count += 1
-        prev = Fraction(hop.exec_time)
-        last_exec = prev
-    if path:
-        # deferred-ack hold: service of the acking (last) component
-        hold = Fraction(tree.close_time) - last_exec
-        if hold:
-            comp = path[-1].component or f"task-{path[-1].dst_task}"
-            summary.per_component[comp].service += hold
-    if b.replay:
-        spout = tree.spout_component or f"task-{tree.spout_task}"
-        bucket = summary.per_component.get(spout)
-        if bucket is None:
-            bucket = summary.per_component[spout] = _Bucket()
-        bucket.replay += b.replay

@@ -27,13 +27,17 @@ latency into components that sum *bitwise-exactly*:
 Exactness contract
 ------------------
 The acker records ``latency = fl(t_ack - t_emit)`` — one correctly
-rounded IEEE-754 subtraction of two event timestamps.  Per-hop
-components here are computed as *exact rationals*
-(:class:`fractions.Fraction`) of those same timestamps, so their sum
-telescopes to exactly ``t_ack - t_emit`` as a rational, and converting
-that single rational to float performs the same single rounding the
-acker did.  Hence ``float(queue + service + transit) == latency``
-**bitwise**, for every completed tuple, on any platform — no epsilon.
+rounded IEEE-754 subtraction of two event timestamps.  Every component
+here is a *signed sum of those same recorded floats* (:func:`path_terms`
+lists them).  A float is a rational and rational addition is
+associative, so reducing a term list once (:func:`exact_sum`) gives the
+very :class:`~fractions.Fraction` that per-hop rational algebra would;
+nothing rounds on the way.  The three components telescope identically
+to ``t_ack - t_emit`` (every other term occurs once with each sign), and
+rounding that one rational to float is the single rounding the acker
+did.  Hence ``float(queue + service + transit) == latency`` **bitwise**,
+for every completed tuple, on any platform — no epsilon — and the same
+predicate can be evaluated as ``fl(close - emit) == latency``.
 (Individual components can carry the rounding residue of the recorded
 ``wait`` field, so a zero-delay hop's transit may be a ±1-ulp rational;
 only the sum is pinned.)
@@ -51,16 +55,18 @@ decomposition must cover every tuple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.tracer import (
     TUPLE_ACK,
+    TUPLE_CLOSE_KINDS,
     TUPLE_DROP,
     TUPLE_EMIT,
     TUPLE_EXECUTE,
-    TUPLE_FAIL,
     TUPLE_LOSS,
     TUPLE_QUEUE,
     TUPLE_REPLAY,
@@ -104,6 +110,7 @@ class SpanHop:
         return (
             self.transfer_time is not None
             and self.queue_time is not None
+            and self.wait is not None
             and self.exec_time is not None
             and self.parent is not None
         )
@@ -113,32 +120,14 @@ class SpanHop:
 class LatencyBreakdown:
     """Exact-rational latency components of one completed tuple tree.
 
-    The fields are :class:`fractions.Fraction`; use the ``*_s``
-    properties for floats.  :meth:`total` performs the single rational →
-    float rounding, which matches the acker-recorded latency bitwise
-    (see the module docstring).
+    :meth:`total` performs the single rational → float rounding, which
+    matches the acker-recorded latency bitwise (see the module docstring).
     """
 
     queue: Fraction = Fraction(0)
     service: Fraction = Fraction(0)
     transit: Fraction = Fraction(0)
     replay: Fraction = Fraction(0)
-
-    @property
-    def queue_s(self) -> float:
-        return float(self.queue)
-
-    @property
-    def service_s(self) -> float:
-        return float(self.service)
-
-    @property
-    def transit_s(self) -> float:
-        return float(self.transit)
-
-    @property
-    def replay_s(self) -> float:
-        return float(self.replay)
 
     def total(self) -> float:
         """Attempt latency: ``float(queue + service + transit)``."""
@@ -151,6 +140,53 @@ class LatencyBreakdown:
     def sums_exactly_to(self, latency: float) -> bool:
         """The bitwise attribution invariant against an acker latency."""
         return self.total() == latency
+
+
+def exact_sum(*terms: Sequence[float]) -> Fraction:
+    """The exact rational sum of every float in the given sequences.
+
+    :func:`math.fsum` tracks the exact sum and returns it rounded once,
+    so a pass over the terms and the negated earlier results yields the
+    next ~53 bits, and a pass returning ``0.0`` proves those results add
+    up exactly.  ``Fraction`` rejects a NaN or infinite result.
+    """
+    total = Fraction(0)
+    taken: List[float] = []
+    while True:
+        part = math.fsum(chain(*terms, taken))
+        if part == 0.0:
+            return total
+        total += Fraction(part)
+        taken.append(-part)
+
+
+Terms = Tuple[float, ...]
+
+
+def path_terms(
+    tree: "SpanTree", path: List[SpanHop]
+) -> Iterator[Tuple[Optional[str], Terms, Terms, Terms]]:
+    """Signed recorded timestamps whose exact sums are the components.
+
+    Yields ``(stage, queue, service, transit)`` per critical-path hop,
+    root first.  A hop departs at ``prev`` (the upstream execute, or the
+    spout emit), arrives at ``dequeue - wait``, waits ``wait`` and is
+    served until ``exec``.  A gap between the last execute and the close
+    (a deferred ack from a later ``execute`` call of the acking bolt) is
+    service of the last stage; an empty path (a spout with no consumers)
+    yields that hold alone, under stage ``None``.
+    """
+    prev, close = tree.emit_time, tree.close_time
+    if not path:
+        yield None, (), (close, -prev), ()
+    for hop in path:
+        dequeue, wait, done = hop.queue_time, hop.wait, hop.exec_time
+        service = (done, -dequeue)
+        if hop is path[-1]:
+            service += (close, -done)
+        stage = hop.component or f"task-{hop.dst_task}"
+        yield stage, (wait,), service, (dequeue, -wait, -prev)
+        prev = done
 
 
 @dataclass
@@ -197,14 +233,10 @@ class SpanTree:
             return None
         path: List[SpanHop] = []
         edge = self.close_edge
-        seen = set()
         while edge != 0:
-            if edge in seen:
-                return None  # corrupt linkage; never happens in well-formed traces
-            seen.add(edge)
             hop = self.hops.get(edge)
-            if hop is None or not hop.complete:
-                return None
+            if hop is None or not hop.complete or len(path) == len(self.hops):
+                return None  # a link is missing, or the linkage is cyclic
             path.append(hop)
             edge = hop.parent  # type: ignore[assignment]
         path.reverse()
@@ -213,28 +245,18 @@ class SpanTree:
     def breakdown(self) -> Optional[LatencyBreakdown]:
         """Exact component decomposition along the critical path.
 
-        Telescoping over event timestamps: each hop contributes
-        ``transit = arrival - departure``, ``queue = wait`` and
-        ``service = execute - dequeue`` as exact rationals, where the
-        arrival is reconstructed as ``dequeue - wait``.  Any gap between
-        the last hop's execute and the close (a deferred ack from a
-        later ``execute`` call of the acking bolt) folds into service,
-        so the components always sum to exactly ``close - emit``.
+        Each component is the :func:`exact_sum` of its :func:`path_terms`,
+        so the three always sum to exactly ``close - emit`` as rationals.
         """
         path = self.critical_path()
         if path is None or self.close_time is None:
             return None
-        queue = service = transit = Fraction(0)
-        prev = Fraction(self.emit_time)  # departure of the first transfer
-        for hop in path:
-            wait = Fraction(hop.wait)
-            dequeue = Fraction(hop.queue_time)
-            transit += (dequeue - wait) - prev
-            queue += wait
-            service += Fraction(hop.exec_time) - dequeue
-            prev = Fraction(hop.exec_time)
-        service += Fraction(self.close_time) - prev  # deferred-ack hold
-        return LatencyBreakdown(queue=queue, service=service, transit=transit)
+        hops = list(path_terms(self, path))
+        return LatencyBreakdown(
+            queue=exact_sum(*(h[1] for h in hops)),
+            service=exact_sum(*(h[2] for h in hops)),
+            transit=exact_sum(*(h[3] for h in hops)),
+        )
 
     def path_components(self) -> Optional[Tuple[str, ...]]:
         """Component names along the critical path, spout first."""
@@ -260,6 +282,9 @@ class SpanForest:
     losses: Dict[str, int] = field(default_factory=dict)
     #: tuple.* events whose root's emit left the ring buffer
     orphan_events: int = 0
+    #: ``msg_id -> emit time`` of each message's first attempt
+    #: (``retries == 0``) retained; replay penalties are measured from it
+    first_emit: Dict[Any, float] = field(default_factory=dict)
 
     def messages(self) -> Dict[Any, List[SpanTree]]:
         """Delivery attempts grouped by ``msg_id``, in emission order.
@@ -281,10 +306,8 @@ class SpanForest:
             return None
         if tree.retries == 0:
             return Fraction(0)
-        for attempt in self.messages().get(tree.msg_id, ()):
-            if attempt.retries == 0 and attempt.emit_time is not None:
-                return Fraction(tree.emit_time) - Fraction(attempt.emit_time)
-        return None
+        first = self.first_emit.get(tree.msg_id)
+        return None if first is None else exact_sum((tree.emit_time, -first))
 
     def acked_trees(self) -> List[SpanTree]:
         """Acked trees in close order (trace record order)."""
@@ -322,11 +345,16 @@ def build_span_forest(events: Iterable[TraceEvent]) -> SpanForest:
             if tree is None:
                 tree = SpanTree(root=root)
                 trees[root] = tree
-            tree.msg_id = f.get("msg_id")
+            msg_id = f.get("msg_id")
+            if isinstance(msg_id, list):  # a tuple id reloaded from JSONL
+                msg_id = tuple(msg_id)
+            tree.msg_id = msg_id
             tree.spout_task = f.get("task")
             tree.spout_component = f.get("component")
             tree.emit_time = ev.time
             tree.retries = int(f.get("retries", 0))
+            if tree.retries == 0 and msg_id is not None:
+                forest.first_emit.setdefault(msg_id, ev.time)
         elif kind == TUPLE_TRANSFER:
             src = f.get("src_task")
             edge = f["edge"]
@@ -382,28 +410,18 @@ def build_span_forest(events: Iterable[TraceEvent]) -> SpanForest:
                 hop.exec_time = ev.time
                 hop.service = f.get("service")
             last_exec[task] = (edge, ev.time, roots)
-        elif kind == TUPLE_ACK:
+        elif kind in TUPLE_CLOSE_KINDS:
             root = f["root"]
             tree = trees.get(root)
             if tree is None:
                 tree = SpanTree(root=root, msg_id=f.get("msg_id"))
                 trees[root] = tree
                 forest.orphan_events += 1
-            tree.close_kind = "ack"
-            tree.close_time = ev.time
-            tree.close_edge = f.get("edge")
-            tree.latency = f.get("latency")
-        elif kind == TUPLE_FAIL:
-            root = f["root"]
-            tree = trees.get(root)
-            if tree is None:
-                tree = SpanTree(root=root, msg_id=f.get("msg_id"))
-                trees[root] = tree
-                forest.orphan_events += 1
-            tree.close_kind = "fail"
+            tree.close_kind = "ack" if kind == TUPLE_ACK else "fail"
             tree.close_time = ev.time
             tree.latency = f.get("latency")
-            tree.fail_reason = f.get("reason")
+            tree.close_edge = f.get("edge")  # acks only
+            tree.fail_reason = f.get("reason")  # fails only
         elif kind == TUPLE_REPLAY:
             forest.replays += 1
         elif kind == TUPLE_DROP:
@@ -433,17 +451,17 @@ def folded_stacks(forest: SpanForest) -> Dict[str, int]:
             continue
         head = tree.spout_component or f"task-{tree.spout_task}"
         frames = [head]
-        prev = Fraction(tree.emit_time)
+        prev = tree.emit_time
         for hop in path:
             frames.append(hop.component or f"task-{hop.dst_task}")
-            hop_time = Fraction(hop.exec_time) - prev
-            prev = Fraction(hop.exec_time)
+            hop_time = hop.exec_time - prev  # rounds the rational gap once
+            prev = hop.exec_time
             stack = ";".join(frames)
-            out[stack] = out.get(stack, 0) + int(round(float(hop_time) * 1e6))
-        hold = Fraction(tree.close_time) - prev
+            out[stack] = out.get(stack, 0) + int(round(hop_time * 1e6))
+        hold = tree.close_time - prev
         if hold:
             stack = ";".join(frames)
-            out[stack] = out.get(stack, 0) + int(round(float(hold) * 1e6))
+            out[stack] = out.get(stack, 0) + int(round(hold * 1e6))
     return out
 
 

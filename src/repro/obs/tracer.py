@@ -39,8 +39,9 @@ Event taxonomy (the ``kind`` strings below):
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional
 
 TUPLE_EMIT = "tuple.emit"
@@ -143,6 +144,8 @@ class Tracer:
                 " (events() windows are [t0, t1))"
             )
         if kind is None:
+            if t0 is None and t1 is None:
+                return list(self._buf)
             match = None
         elif kind.endswith("*"):
             prefix = kind[:-1]
@@ -164,10 +167,7 @@ class Tracer:
 
     def kind_counts(self) -> Dict[str, int]:
         """Retained-event histogram by kind (for summaries and tests)."""
-        counts: Dict[str, int] = {}
-        for e in self._buf:
-            counts[e.kind] = counts.get(e.kind, 0) + 1
-        return counts
+        return dict(Counter(map(attrgetter("kind"), self._buf)))
 
     def __repr__(self) -> str:
         return (

@@ -92,6 +92,19 @@ def test_kind_counts_and_clear():
     assert tr.total_recorded == 0
 
 
+def test_unfiltered_reads_equal_the_filtered_path():
+    tr = Tracer(capacity=8)
+    for i in range(12):  # wraps the ring
+        tr.record(float(i), (TUPLE_EMIT, TUPLE_TRANSFER, TUPLE_ACK)[i % 3], root=i)
+    everything = tr.events()
+    assert everything == tr.events(t0=-1.0) == tr.events("*")
+    assert isinstance(everything, list) and everything is not tr.events()
+    counts = tr.kind_counts()
+    assert type(counts) is dict
+    assert counts == {k: len(tr.events(k)) for k in counts}
+    assert list(counts) == [TUPLE_TRANSFER, TUPLE_ACK, TUPLE_EMIT]  # first seen
+
+
 def test_group_tuple_spans_by_root_and_roots():
     tr = Tracer()
     tr.record(0.0, TUPLE_EMIT, root=7)
