@@ -9,10 +9,19 @@ value (a scalar regression).
 Implementation notes (following the repository's HPC-Python guidelines):
 
 * All math is batched NumPy — loops run only over time steps and layers.
-* Gates are computed with one fused ``(n, 4h)`` GEMM per step.
+* The recurrent layers work time-major and gate-major (states ``(T, h, n)``,
+  gates ``(T, k*h, n)``), so every per-step slice is a contiguous block.
+  The input projection of all timesteps is one GEMM before the recurrence
+  and each weight gradient one GEMM after it; a step itself is one
+  ``(k*h, h) @ (h, n)`` recurrent product plus elementwise gate algebra.
+* All parameters of a model live in one flat vector (``theta``; ``params``
+  are named views of it), so L2, clipping, Adam and checkpointing are
+  whole-vector operations.
 * Backpropagation-through-time is exact (verified by finite differences in
-  ``tests/models/test_drnn.py``); training uses Adam with global-norm
-  gradient clipping and early stopping on a chronological validation tail.
+  ``tests/models/test_drnn.py`` and against a per-timestep oracle in
+  ``tests/models/test_recurrent_oracle.py``); training uses Adam with
+  global-norm gradient clipping and early stopping on a chronological
+  validation tail.
 * All randomness flows through one ``numpy.random.Generator``.
 """
 
@@ -25,41 +34,30 @@ import numpy as np
 
 
 def _sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    # Numerically stable piecewise sigmoid.  ``out`` may alias ``x``: the
-    # positive/negative masks are disjoint and fancy indexing copies the
-    # operands before the writes land.
-    if out is None:
-        out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # Numerically stable and branch-free: with e = exp(-|x|) the value is
+    # 1/(1+e) for x >= 0 and e/(1+e) below.  ``out`` may alias ``x``: x is
+    # last read before the final divide writes.
+    e = np.empty_like(x)
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(num, e, out=e if out is None else out)
 
 
-class _BufferCache:
-    """Reusable work arrays keyed by shape, so BPTT does not reallocate
-    its state/gate tensors on every batch of every epoch.
+class _RecurrentLayer:
+    """Shared machinery of the recurrent cells, in time-major layout.
 
-    Buffers are returned uninitialised (``np.empty``); callers must fully
-    overwrite them.  The cache holds one buffer set per distinct batch
-    shape — training touches only a handful (full batch, trailing partial
-    batch, validation tail), so the footprint stays bounded.
+    A sequence batch is ``(T, d, n)`` and gates are stacked gate-major as
+    ``(T, k*h, n)``, so every per-step, per-gate slice is one contiguous
+    block.  The input projection of all timesteps is one GEMM before the
+    recurrence and the weight gradients are one GEMM each after it; a
+    subclass supplies only the per-step cell algebra (``_steps`` /
+    ``_bptt``) and the buffers it needs.
     """
 
-    def __init__(self) -> None:
-        self._store: Dict[tuple, Tuple[np.ndarray, ...]] = {}
-
-    def get(self, key: tuple, *specs: Tuple[tuple, np.dtype]) -> Tuple[np.ndarray, ...]:
-        bufs = self._store.get(key)
-        if bufs is None:
-            bufs = tuple(np.empty(shape, dtype=dtype) for shape, dtype in specs)
-            self._store[key] = bufs
-        return bufs
-
-
-class LSTMLayer:
-    """One LSTM layer processing full sequences with exact BPTT."""
+    n_gates: int
 
     def __init__(
         self,
@@ -75,261 +73,238 @@ class LSTMLayer:
         self.hidden_dim = hidden_dim
         self.name = name
         self.dtype = np.dtype(dtype)
-        h = hidden_dim
-        sx = np.sqrt(6.0 / (input_dim + 4 * h))
-        sh = np.sqrt(6.0 / (h + 4 * h))
+        width = self.n_gates * hidden_dim
+        sx = np.sqrt(6.0 / (input_dim + width))
+        sh = np.sqrt(6.0 / (hidden_dim + width))
         self.params: Dict[str, np.ndarray] = {
-            f"{name}/Wx": rng.uniform(-sx, sx, size=(input_dim, 4 * h)).astype(
+            f"{name}/Wx": rng.uniform(-sx, sx, size=(input_dim, width)).astype(
                 self.dtype, copy=False
             ),
-            f"{name}/Wh": rng.uniform(-sh, sh, size=(h, 4 * h)).astype(
+            f"{name}/Wh": rng.uniform(-sh, sh, size=(hidden_dim, width)).astype(
                 self.dtype, copy=False
             ),
-            f"{name}/b": np.zeros(4 * h, dtype=self.dtype),
+            f"{name}/b": np.zeros(width, dtype=self.dtype),
         }
-        # Forget-gate bias at 1: standard trick to keep early memory open.
-        self.params[f"{name}/b"][h : 2 * h] = 1.0
         self._cache: Optional[tuple] = None
-        self._buffers = _BufferCache()
+        # Work arrays per (T, n).  Training touches a handful of shapes
+        # (full batch, trailing partial batch, validation tail).  Every
+        # array is fully overwritten by each pass except row 0 of the
+        # state arrays, the zero initial state, which nothing writes.
+        self._buffers: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
+
+    def _shapes(self, T: int, n: int) -> Dict[str, tuple]:
+        h, w = self.hidden_dim, self.n_gates * self.hidden_dim
+        return {
+            "G": (T, w, n),  # pre-activations, then gate activations
+            "H": (T + 1, h, n),  # H[t + 1] is the state after step t
+            "dZ": (T, w, n),  # dL/d(pre-activation), seen through Wx and b
+            "dh": (h, n),
+            "dh_next": (h, n),
+            "tmp": (h, n),
+        }
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """``(n, T, d) -> (n, T, h)`` hidden states.
-
-        State/gate tensors come from the layer's buffer cache and are
-        fully overwritten each call; the time loop writes gate
-        activations and states straight into their slots (no per-step
-        temporaries beyond the elementwise products).
-        """
-        n, T, d = X.shape
-        h = self.hidden_dim
-        dt = self.dtype
-        Wx = self.params[f"{self.name}/Wx"]
-        Wh = self.params[f"{self.name}/Wh"]
-        b = self.params[f"{self.name}/b"]
-        H, C, gates, XWx, zero = self._buffers.get(
-            ("fwd", n, T),
-            ((n, T, h), dt),
-            ((n, T, h), dt),
-            ((n, T, 4 * h), dt),
-            ((n, T, 4 * h), dt),
-            ((n, h), dt),
-        )
-        zero[:] = 0.0  # read-only initial state (kept zero every call)
-        h_prev = zero
-        c_prev = zero
-        # One fused input GEMM for the whole sequence (hoists the big
-        # matmul out of the time loop).
-        np.matmul(X.reshape(n * T, d), Wx, out=XWx.reshape(n * T, 4 * h))
-        for t in range(T):
-            z = gates[:, t]
-            np.matmul(h_prev, Wh, out=z)
-            z += XWx[:, t]
-            z += b
-            i = _sigmoid(z[:, :h], out=z[:, :h])
-            f = _sigmoid(z[:, h : 2 * h], out=z[:, h : 2 * h])
-            g = np.tanh(z[:, 2 * h : 3 * h], out=z[:, 2 * h : 3 * h])
-            o = _sigmoid(z[:, 3 * h :], out=z[:, 3 * h :])
-            c = C[:, t]
-            np.multiply(f, c_prev, out=c)
-            c += i * g
-            hh = H[:, t]
-            np.tanh(c, out=hh)
-            hh *= o
-            h_prev, c_prev = hh, c
-        self._cache = (X, H, C, gates)
-        return H
+        """``(T, d, n) -> (T, h, n)`` hidden states (a view of a work
+        array: valid until the next forward pass of the same shape)."""
+        T, _, n = X.shape
+        buf = self._buffers.get((T, n))
+        if buf is None:
+            buf = self._buffers[T, n] = {
+                k: np.zeros(s, dtype=self.dtype) for k, s in self._shapes(T, n).items()
+            }
+        G = buf["G"]
+        np.matmul(self.params[f"{self.name}/Wx"].T, X, out=G)
+        G += self.params[f"{self.name}/b"][:, None]
+        self._steps(buf, self.params[f"{self.name}/Wh"].T)
+        self._cache = (X, buf)
+        return buf["H"][1:]
 
     def backward(self, dH: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Given ``dL/dH`` for every timestep, return ``dL/dX`` and grads."""
+        """Given ``dL/dH`` ``(T, h, n)`` for every timestep, return
+        ``dL/dX`` ``(T, d, n)`` and the parameter gradients."""
         if self._cache is None:
             raise RuntimeError("backward() before forward()")
-        X, H, C, gates = self._cache
-        n, T, d = X.shape
-        h = self.hidden_dim
-        dt = self.dtype
+        X, buf = self._cache
         Wx = self.params[f"{self.name}/Wx"]
-        Wh = self.params[f"{self.name}/Wh"]
-        dWx = np.zeros_like(Wx)
-        dWh = np.zeros_like(Wh)
-        db = np.zeros(4 * h, dtype=dt)
-        dX, dz, dh_buf, zero = self._buffers.get(
-            ("bwd", n, T),
-            ((n, T, d), dt),
-            ((n, 4 * h), dt),
-            ((n, h), dt),
-            ((n, h), dt),
-        )
-        zero[:] = 0.0
-        dh_buf[:] = 0.0
-        dh_next = dh_buf
-        dc_next = zero  # zero only for the first (last-timestep) iteration
-        for t in range(T - 1, -1, -1):
-            i = gates[:, t, :h]
-            f = gates[:, t, h : 2 * h]
-            g = gates[:, t, 2 * h : 3 * h]
-            o = gates[:, t, 3 * h :]
-            c = C[:, t]
-            c_prev = C[:, t - 1] if t > 0 else zero
-            h_prev = H[:, t - 1] if t > 0 else zero
-            tanh_c = np.tanh(c)
-            dh = dH[:, t] + dh_next
-            do = dh * tanh_c
-            dc = dh * o * (1.0 - tanh_c**2) + dc_next
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dc_next = dc * f
-            np.multiply(di * i, 1.0 - i, out=dz[:, :h])
-            np.multiply(df * f, 1.0 - f, out=dz[:, h : 2 * h])
-            np.multiply(dg, 1.0 - g**2, out=dz[:, 2 * h : 3 * h])
-            np.multiply(do * o, 1.0 - o, out=dz[:, 3 * h :])
-            dWx += X[:, t].T @ dz
-            dWh += h_prev.T @ dz
-            db += dz.sum(axis=0)
-            np.matmul(dz, Wx.T, out=dX[:, t])
-            np.matmul(dz, Wh.T, out=dh_buf)
-            dh_next = dh_buf
+        buf["dh_next"][:] = 0.0
+        # dZ is dL/d(pre-activation) as Wx and b see it, dZh as Wh sees it
+        # (they differ only for the GRU, whose reset gate scales Wh's
+        # candidate block).
+        dZ, dZh = self._bptt(buf, dH, self.params[f"{self.name}/Wh"])
         grads = {
-            f"{self.name}/Wx": dWx,
-            f"{self.name}/Wh": dWh,
-            f"{self.name}/b": db,
+            f"{self.name}/Wx": np.matmul(X, dZ.transpose(0, 2, 1)).sum(axis=0),
+            f"{self.name}/Wh": np.matmul(
+                buf["H"][:-1], dZh.transpose(0, 2, 1)
+            ).sum(axis=0),
+            f"{self.name}/b": dZ.sum(axis=(0, 2)),
         }
-        return dX, grads
+        return np.matmul(Wx, dZ), grads
 
 
-class GRULayer:
+class LSTMLayer(_RecurrentLayer):
+    """One LSTM layer processing full sequences with exact BPTT
+    (gate order ``i, f, g, o``)."""
+
+    n_gates = 4
+
+    def __init__(
+        self,
+        input_dim: int,
+        hidden_dim: int,
+        rng: np.random.Generator,
+        name: str,
+        dtype: np.dtype = np.float64,
+    ) -> None:
+        super().__init__(input_dim, hidden_dim, rng, name, dtype)
+        # Forget-gate bias at 1: standard trick to keep early memory open.
+        self.params[f"{name}/b"][hidden_dim : 2 * hidden_dim] = 1.0
+
+    def _shapes(self, T: int, n: int) -> Dict[str, tuple]:
+        h = self.hidden_dim
+        return {
+            **super()._shapes(T, n),
+            "C": (T + 1, h, n),
+            "tanhC": (T, h, n),
+            "rec": (4 * h, n),
+            "S": (T, 4 * h, n),
+            "Q": (T, h, n),
+            "dc": (h, n),
+            "dc_next": (h, n),
+        }
+
+    def _steps(self, buf: Dict[str, np.ndarray], WhT: np.ndarray) -> None:
+        h = self.hidden_dim
+        G, H, C, tanhC = buf["G"], buf["H"], buf["C"], buf["tanhC"]
+        rec, ig = buf["rec"], buf["tmp"]
+        for t in range(len(G)):
+            z = G[t]
+            np.matmul(WhT, H[t], out=rec)
+            z += rec
+            i_f, g, o = z[: 2 * h], z[2 * h : 3 * h], z[3 * h :]
+            _sigmoid(i_f, out=i_f)
+            np.tanh(g, out=g)
+            _sigmoid(o, out=o)
+            c = C[t + 1]
+            np.multiply(i_f[h:], C[t], out=c)
+            np.multiply(i_f[:h], g, out=ig)
+            c += ig
+            np.tanh(c, out=tanhC[t])
+            np.multiply(o, tanhC[t], out=H[t + 1])
+
+    def _bptt(
+        self, buf: Dict[str, np.ndarray], dH: np.ndarray, Wh: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        h = self.hidden_dim
+        G, C, tanhC, S, Q, dZ = (buf[k] for k in ("G", "C", "tanhC", "S", "Q", "dZ"))
+        dh, dh_next, dc, dc_next = (
+            buf[k] for k in ("dh", "dh_next", "dc", "dc_next")
+        )
+        i, f, g, o = (G[:, k * h : (k + 1) * h] for k in range(4))
+        # Everything that does not depend on the carried dh/dc, for all
+        # timesteps at once: S is each gate's local derivative, dZ starts
+        # as the factor multiplying (dc, dc, dc, dh) and Q is d(h)/d(c).
+        np.subtract(1.0, G, out=S)
+        S *= G
+        Sg = S[:, 2 * h : 3 * h]
+        np.multiply(g, g, out=Sg)
+        np.subtract(1.0, Sg, out=Sg)
+        dZ[:, :h] = g
+        dZ[:, h : 2 * h] = C[:-1]
+        dZ[:, 2 * h : 3 * h] = i
+        dZ[:, 3 * h :] = tanhC
+        dZ *= S
+        np.multiply(tanhC, tanhC, out=Q)
+        np.subtract(1.0, Q, out=Q)
+        Q *= o
+        dc_next[:] = 0.0
+        n = dh.shape[1]
+        for t in reversed(range(len(dH))):
+            np.add(dH[t], dh_next, out=dh)
+            np.multiply(dh, Q[t], out=dc)
+            dc += dc_next
+            dz = dZ[t]
+            ifg = dz[: 3 * h].reshape(3, h, n)
+            ifg *= dc
+            dz[3 * h :] *= dh
+            np.multiply(dc, f[t], out=dc_next)
+            np.matmul(Wh, dz, out=dh_next)
+        return dZ, dZ
+
+
+class GRULayer(_RecurrentLayer):
     """One GRU layer processing full sequences with exact BPTT.
 
     Alternative recurrent cell for the DRNN (``cell="gru"``): ~25% fewer
-    parameters than LSTM at equal width; gates follow the standard
-    formulation ``h_t = (1-z)*h_prev + z*tanh(W x + U (r*h_prev) + b)``.
+    parameters than LSTM at equal width; gates ``r, z, c`` follow the
+    standard formulation
+    ``h_t = (1-z)*h_prev + z*tanh(W x + r * (U h_prev) + b)``.
     """
 
-    def __init__(
-        self,
-        input_dim: int,
-        hidden_dim: int,
-        rng: np.random.Generator,
-        name: str,
-        dtype: np.dtype = np.float64,
-    ) -> None:
-        if input_dim < 1 or hidden_dim < 1:
-            raise ValueError("dimensions must be positive")
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.name = name
-        self.dtype = np.dtype(dtype)
-        h = hidden_dim
-        sx = np.sqrt(6.0 / (input_dim + 3 * h))
-        sh = np.sqrt(6.0 / (h + 3 * h))
-        self.params: Dict[str, np.ndarray] = {
-            f"{name}/Wx": rng.uniform(-sx, sx, size=(input_dim, 3 * h)).astype(
-                self.dtype, copy=False
-            ),
-            f"{name}/Wh": rng.uniform(-sh, sh, size=(h, 3 * h)).astype(
-                self.dtype, copy=False
-            ),
-            f"{name}/b": np.zeros(3 * h, dtype=self.dtype),
-        }
-        self._cache: Optional[tuple] = None
-        self._buffers = _BufferCache()
+    n_gates = 3
 
-    def forward(self, X: np.ndarray) -> np.ndarray:
-        """``(n, T, d) -> (n, T, h)`` hidden states."""
-        n, T, d = X.shape
+    def _shapes(self, T: int, n: int) -> Dict[str, tuple]:
         h = self.hidden_dim
-        dt = self.dtype
-        Wx = self.params[f"{self.name}/Wx"]
-        Wh = self.params[f"{self.name}/Wh"]
-        b = self.params[f"{self.name}/b"]
-        H, gates, XWx, zero = self._buffers.get(
-            ("fwd", n, T),
-            ((n, T, h), dt),
-            ((n, T, 3 * h), dt),  # r, z, c (candidate)
-            ((n, T, 3 * h), dt),
-            ((n, h), dt),
-        )
-        zero[:] = 0.0
-        h_prev = zero
-        np.matmul(X.reshape(n * T, d), Wx, out=XWx.reshape(n * T, 3 * h))
-        for t in range(T):
-            hWh = h_prev @ Wh
-            r = _sigmoid(XWx[:, t, :h] + hWh[:, :h] + b[:h])
-            z = _sigmoid(XWx[:, t, h : 2 * h] + hWh[:, h : 2 * h] + b[h : 2 * h])
-            c = np.tanh(
-                XWx[:, t, 2 * h :] + r * hWh[:, 2 * h :] + b[2 * h :]
-            )
-            hh = H[:, t]
-            np.multiply(1.0 - z, h_prev, out=hh)
-            hh += z * c
-            gates[:, t, :h] = r
-            gates[:, t, h : 2 * h] = z
-            gates[:, t, 2 * h :] = c
-            h_prev = hh
-        self._cache = (X, H, gates)
-        return H
-
-    def backward(self, dH: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        if self._cache is None:
-            raise RuntimeError("backward() before forward()")
-        X, H, gates = self._cache
-        n, T, d = X.shape
-        h = self.hidden_dim
-        dt = self.dtype
-        Wx = self.params[f"{self.name}/Wx"]
-        Wh = self.params[f"{self.name}/Wh"]
-        dWx = np.zeros_like(Wx)
-        dWh = np.zeros_like(Wh)
-        db = np.zeros(3 * h, dtype=dt)
-        dX, dzcat, dh_buf, zero = self._buffers.get(
-            ("bwd", n, T),
-            ((n, T, d), dt),
-            ((n, 3 * h), dt),
-            ((n, h), dt),
-            ((n, h), dt),
-        )
-        zero[:] = 0.0
-        dh_buf[:] = 0.0
-        dh_next = dh_buf
-        for t in range(T - 1, -1, -1):
-            r = gates[:, t, :h]
-            z = gates[:, t, h : 2 * h]
-            c = gates[:, t, 2 * h :]
-            h_prev = H[:, t - 1] if t > 0 else zero
-            hWh_c = h_prev @ Wh[:, 2 * h :]
-            dh = dH[:, t] + dh_next
-            dz = dh * (c - h_prev)
-            dc = dh * z
-            dh_prev = dh * (1.0 - z)
-            d_zc = dc * (1.0 - c**2)  # pre-activation of candidate
-            dr = d_zc * hWh_c
-            d_zr = dr * r * (1.0 - r)
-            d_zz = dz * z * (1.0 - z)
-            dzcat[:, :h] = d_zr
-            dzcat[:, h : 2 * h] = d_zz
-            dzcat[:, 2 * h :] = d_zc
-            dWx += X[:, t].T @ dzcat
-            db += dzcat.sum(axis=0)
-            np.matmul(dzcat, Wx.T, out=dX[:, t])
-            # Wh gradient: r/z columns see h_prev directly; the candidate
-            # column's pre-activation is r ⊙ (h_prev @ Wh_c) — the reset
-            # gate scales per *output* unit, so it folds into d_zc.
-            dWh[:, :h] += h_prev.T @ d_zr
-            dWh[:, h : 2 * h] += h_prev.T @ d_zz
-            dWh[:, 2 * h :] += h_prev.T @ (d_zc * r)
-            dh_prev = (
-                dh_prev
-                + d_zr @ Wh[:, :h].T
-                + d_zz @ Wh[:, h : 2 * h].T
-                + (d_zc * r) @ Wh[:, 2 * h :].T
-            )
-            dh_next = dh_prev
-        grads = {
-            f"{self.name}/Wx": dWx,
-            f"{self.name}/Wh": dWh,
-            f"{self.name}/b": db,
+        return {
+            **super()._shapes(T, n),
+            "HW": (T, 3 * h, n),  # recurrent products Wh.T @ h_prev
+            "CmH": (T, h, n),  # candidate minus previous state
+            "S": (T, 3 * h, n),
+            "one_minus_z": (T, h, n),
+            "dZh": (T, 3 * h, n),  # dL/d(HW): the candidate block carries r
         }
-        return dX, grads
+
+    def _steps(self, buf: Dict[str, np.ndarray], WhT: np.ndarray) -> None:
+        h = self.hidden_dim
+        G, H, HW, CmH, tmp = (buf[k] for k in ("G", "H", "HW", "CmH", "tmp"))
+        for t in range(len(G)):
+            z, hw = G[t], HW[t]
+            np.matmul(WhT, H[t], out=hw)
+            r_z, c = z[: 2 * h], z[2 * h :]
+            r_z += hw[: 2 * h]
+            _sigmoid(r_z, out=r_z)
+            np.multiply(r_z[:h], hw[2 * h :], out=tmp)
+            c += tmp
+            np.tanh(c, out=c)
+            np.subtract(c, H[t], out=CmH[t])
+            np.multiply(r_z[h:], CmH[t], out=H[t + 1])
+            H[t + 1] += H[t]
+
+    def _bptt(
+        self, buf: Dict[str, np.ndarray], dH: np.ndarray, Wh: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        h = self.hidden_dim
+        G, HW, CmH, S, dZ, dZh, one_minus_z = (
+            buf[k] for k in ("G", "HW", "CmH", "S", "dZ", "dZh", "one_minus_z")
+        )
+        dh, dh_next, tmp = buf["dh"], buf["dh_next"], buf["tmp"]
+        r, z, c = (G[:, k * h : (k + 1) * h] for k in range(3))
+        # Everything that does not depend on the carried dh, for all
+        # timesteps at once: S is each gate's local derivative and dZ
+        # starts as the factor multiplying (d_c, dh, dh), d_c being the
+        # candidate's own pre-activation gradient.
+        np.subtract(1.0, z, out=one_minus_z)
+        np.subtract(1.0, G, out=S)
+        S *= G
+        Sc = S[:, 2 * h :]
+        np.multiply(c, c, out=Sc)
+        np.subtract(1.0, Sc, out=Sc)
+        dZ[:, :h] = HW[:, 2 * h :]
+        dZ[:, h : 2 * h] = CmH
+        dZ[:, 2 * h :] = z
+        dZ *= S
+        n = dh.shape[1]
+        for t in reversed(range(len(dH))):
+            np.add(dH[t], dh_next, out=dh)
+            dz, dzh = dZ[t], dZh[t]
+            zc = dz[h:].reshape(2, h, n)
+            zc *= dh
+            dz[:h] *= dz[2 * h :]
+            dzh[: 2 * h] = dz[: 2 * h]
+            np.multiply(dz[2 * h :], r[t], out=dzh[2 * h :])
+            np.matmul(Wh, dzh, out=dh_next)
+            np.multiply(dh, one_minus_z[t], out=tmp)
+            dh_next += tmp
+        return dZ, dZh
 
 
 class Dense:
@@ -369,8 +344,47 @@ class Dense:
         return dY @ W.T, grads
 
 
+def pack_params(owners: Sequence) -> Tuple[np.ndarray, Dict[str, np.ndarray], np.ndarray]:
+    """Move every owner's ``params`` into one flat vector.
+
+    Returns ``(theta, params, decay)``: the vector, the name -> array dict
+    over all owners whose arrays are now views of consecutive slices of
+    ``theta`` (each owner's own dict is rebound to the same views), and a
+    0/1 vector marking the entries L2 applies to (everything but biases).
+    Whole-model updates, snapshots and penalties are then single vector
+    operations on ``theta``.
+    """
+    arrays = {k: p for owner in owners for k, p in owner.params.items()}
+    theta = np.concatenate([p.ravel() for p in arrays.values()])
+    decay = np.concatenate(
+        [np.full(p.size, not k.endswith("/b"), theta.dtype) for k, p in arrays.items()]
+    )
+    cuts = np.cumsum([p.size for p in arrays.values()])[:-1]
+    params = {
+        k: view.reshape(p.shape)
+        for (k, p), view in zip(arrays.items(), np.split(theta, cuts))
+    }
+    for owner in owners:
+        owner.params = {k: params[k] for k in owner.params}
+    return theta, params, decay
+
+
+def flat_loss_and_grad(
+    model, loss: float, grads: Dict[str, np.ndarray]
+) -> Tuple[float, np.ndarray]:
+    """Gather named gradients into one vector aligned with ``model.theta``
+    and add the L2 penalty to both the loss and the gradient."""
+    grad = np.concatenate([grads[k].ravel() for k in model.params])
+    if model.l2 > 0:
+        decayed = model.theta * model.decay
+        loss += model.l2 * float(decayed @ model.theta)
+        decayed *= 2.0 * model.l2
+        grad += decayed
+    return loss, grad
+
+
 class Adam:
-    """Adam optimiser over a named parameter dict."""
+    """Adam optimiser over a named parameter dict, updated in place."""
 
     def __init__(
         self,
@@ -390,22 +404,32 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = {k: np.empty_like(v) for k, v in params.items()}
 
     def step(self, grads: Dict[str, np.ndarray]) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            m_hat = self.m[k] / b1c
-            v_hat = self.v[k] / b2c
-            self.params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v, s = self.m[k], self.v[k], self._scratch[k]
+            m *= self.beta1
+            np.multiply(g, 1 - self.beta1, out=s)
+            m += s
+            v *= self.beta2
+            np.multiply(g, g, out=s)
+            s *= 1 - self.beta2
+            v += s
+            np.divide(v, b2c, out=s)  # v_hat
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, s, out=s)
+            s *= self.lr / b1c  # lr * m_hat / (sqrt(v_hat) + eps)
+            self.params[k] -= s
 
 
 def clip_by_global_norm(grads: Dict[str, np.ndarray], max_norm: float) -> float:
     """In-place global-norm clipping; returns the pre-clip norm."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    total = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / (total + 1e-12)
         for g in grads.values():
@@ -428,12 +452,14 @@ class TrainHistory:
 def fit_regressor(model, X: np.ndarray, y: np.ndarray, verbose: bool = False):
     """Shared mini-batch training loop for the from-scratch regressors.
 
-    Drives any model exposing ``params`` / ``loss_and_grads`` / ``forward``
-    plus the optimisation attributes (``lr``, ``epochs``, ``batch_size``,
-    ``clip_norm``, ``patience``, ``val_fraction``, ``rng``, ``dtype``,
-    ``history``) — the DRNN and the TCN share this loop so training
-    discipline (Adam, global-norm clipping, chronological validation tail,
-    best-checkpoint restore) is implemented exactly once.
+    Drives any model exposing ``theta`` (its flat parameter vector, see
+    :func:`pack_params`), ``loss_and_grads`` (loss and flat gradient for
+    one batch) and ``forward`` plus the optimisation attributes (``lr``,
+    ``epochs``, ``batch_size``, ``clip_norm``, ``patience``,
+    ``val_fraction``, ``rng``, ``dtype``, ``history``) — the DRNN and the
+    TCN share this loop so training discipline (Adam, global-norm
+    clipping, chronological validation tail, best-checkpoint restore) is
+    implemented exactly once.
 
     Two optional attributes extend the basic loop:
 
@@ -441,12 +467,15 @@ def fit_regressor(model, X: np.ndarray, y: np.ndarray, verbose: bool = False):
         Accumulate gradients over that many consecutive mini-batches and
         apply one (averaged) optimiser step per group — large effective
         batches without the memory of materialising them.  ``1`` (the
-        default) takes the original one-step-per-batch path, byte-for-byte.
+        default) is a group of one: one step per batch.
     ``lr_decay`` / ``decay_patience``
         When the validation loss has not improved for ``decay_patience``
         consecutive epochs, multiply the learning rate by ``lr_decay``
         (and keep training; early stopping still uses ``patience``).
         ``lr_decay=1.0`` or ``decay_patience=0`` disables the schedule.
+
+    A non-finite gradient raises :class:`FloatingPointError` instead of
+    being written into the weights.
     """
     X = np.asarray(X, dtype=model.dtype)
     y = np.asarray(y, dtype=model.dtype).ravel()
@@ -467,62 +496,49 @@ def fit_regressor(model, X: np.ndarray, y: np.ndarray, verbose: bool = False):
     decay_patience = int(getattr(model, "decay_patience", 0))
     decay_on = lr_decay < 1.0 and decay_patience > 0
 
-    opt = Adam(model.params, lr=model.lr)
+    # To the optimiser the whole model is one named array.
+    opt = Adam({"theta": model.theta}, lr=model.lr)
     best_val = np.inf
-    best_state: Optional[Dict[str, np.ndarray]] = None
+    best_theta: Optional[np.ndarray] = None
     bad_epochs = 0
     decay_bad = 0
     n = X_tr.shape[0]
+    starts = range(0, n, model.batch_size)
     for epoch in range(model.epochs):
         order = model.rng.permutation(n)
         epoch_loss = 0.0
-        batches = 0
-        if accum_steps <= 1:
-            for start in range(0, n, model.batch_size):
-                idx = order[start : start + model.batch_size]
-                loss, grads = model.loss_and_grads(X_tr[idx], y_tr[idx])
-                clip_by_global_norm(grads, model.clip_norm)
-                opt.step(grads)
-                epoch_loss += loss
-                batches += 1
-        else:
-            # Gradient accumulation: sum grads over ``accum_steps``
-            # consecutive mini-batches, then apply one averaged step.
-            # ``loss_and_grads`` returns fresh arrays, so the first
-            # batch's dict is taken over as the accumulator in place.
-            acc: Optional[Dict[str, np.ndarray]] = None
-            acc_count = 0
-            for start in range(0, n, model.batch_size):
-                idx = order[start : start + model.batch_size]
-                loss, grads = model.loss_and_grads(X_tr[idx], y_tr[idx])
-                if acc is None:
-                    acc = grads
-                else:
-                    for k in acc:
-                        acc[k] += grads[k]
-                acc_count += 1
-                epoch_loss += loss
-                batches += 1
-                if acc_count == accum_steps:
-                    for k in acc:
-                        acc[k] /= acc_count
-                    clip_by_global_norm(acc, model.clip_norm)
-                    opt.step(acc)
-                    acc = None
-                    acc_count = 0
-            if acc is not None:  # trailing partial accumulation group
-                for k in acc:
-                    acc[k] /= acc_count
-                clip_by_global_norm(acc, model.clip_norm)
-                opt.step(acc)
-        model.history.train_loss.append(epoch_loss / max(1, batches))
+        group = None  # gradient sum over the current accumulation group
+        group_size = 0
+        for batch, start in enumerate(starts):
+            idx = order[start : start + model.batch_size]
+            loss, grad = model.loss_and_grads(X_tr[idx], y_tr[idx])
+            epoch_loss += loss
+            # ``loss_and_grads`` returns a fresh vector, so the group's
+            # first gradient is taken over as the accumulator in place.
+            if group_size:
+                group += grad
+            else:
+                group = grad
+            group_size += 1
+            if group_size == accum_steps or batch == len(starts) - 1:
+                group /= group_size
+                step = {"theta": group}
+                norm = clip_by_global_norm(step, model.clip_norm)
+                if not np.isfinite(norm):
+                    raise FloatingPointError(
+                        f"non-finite gradient norm ({norm}) at epoch {epoch}, "
+                        f"batch {batch}: check the training data for NaN/inf"
+                    )
+                opt.step(step)
+                group_size = 0
+        model.history.train_loss.append(epoch_loss / len(starts))
         if n_val:
             val_pred = model.forward(X_val)
             val_loss = float(np.mean((val_pred - y_val) ** 2))
             model.history.val_loss.append(val_loss)
             if val_loss < best_val - 1e-12:
                 best_val = val_loss
-                best_state = {k: v.copy() for k, v in model.params.items()}
+                best_theta = model.theta.copy()
                 bad_epochs = 0
                 decay_bad = 0
             else:
@@ -538,9 +554,8 @@ def fit_regressor(model, X: np.ndarray, y: np.ndarray, verbose: bool = False):
         model.history.lr.append(opt.lr)
         if verbose:  # pragma: no cover - debugging aid
             print(f"epoch {epoch}: loss={model.history.train_loss[-1]:.5f}")
-    if best_state is not None:
-        for k in model.params:
-            model.params[k][...] = best_state[k]
+    if best_theta is not None:
+        model.theta[:] = best_theta
     if not model.history.stopped_epoch:
         model.history.stopped_epoch = len(model.history.train_loss)
     return model
@@ -564,9 +579,8 @@ class DRNNRegressor:
         Chronological tail of the training set held out for early stopping.
     accum_steps:
         Mini-batches whose gradients are accumulated (then averaged) per
-        optimiser step.  ``1`` (default) keeps the original
-        one-step-per-batch behaviour byte-for-byte; larger values give
-        large effective batches at mini-batch memory cost.
+        optimiser step.  ``1`` (default) steps once per batch; larger
+        values give large effective batches at mini-batch memory cost.
     lr_decay, decay_patience:
         Validation-driven learning-rate schedule: after ``decay_patience``
         epochs without validation improvement, multiply the learning rate
@@ -640,10 +654,7 @@ class DRNNRegressor:
             )
             dim = h
         self.head = Dense(dim, 1, self.rng, name="head", dtype=self.dtype)
-        self.params: Dict[str, np.ndarray] = {}
-        for layer in self.layers:
-            self.params.update(layer.params)
-        self.params.update(self.head.params)
+        self.theta, self.params, self.decay = pack_params([*self.layers, self.head])
         self.history = TrainHistory()
 
     # -- forward / backward --------------------------------------------------------
@@ -655,38 +666,31 @@ class DRNNRegressor:
             raise ValueError(
                 f"expected (n, T, {self.input_dim}), got {X.shape}"
             )
-        H = X
+        # The layers work time-major; this is the one transpose per batch.
+        H = np.ascontiguousarray(X.transpose(1, 2, 0))
         for layer in self.layers:
             H = layer.forward(H)
-        return self.head.forward(H[:, -1, :]).ravel()
+        return self.head.forward(H[-1].T).ravel()
 
     predict = forward
 
-    def loss_and_grads(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> Tuple[float, Dict[str, np.ndarray]]:
-        """MSE loss (+ L2) and exact gradients for one batch."""
+    def loss_and_grads(self, X: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
+        """MSE loss (+ L2) and its exact gradient for one batch, as one
+        vector aligned with ``theta``."""
         y = np.asarray(y, dtype=self.dtype).ravel()
         pred = self.forward(X)
         n = y.shape[0]
         err = pred - y
-        loss = float(np.mean(err**2))
+        loss = float(err @ err) / n
         d_pred = (2.0 / n) * err
         d_last, grads = self.head.backward(d_pred[:, None])
         # Only the final timestep of the top layer receives head gradient.
-        T = X.shape[1]
-        dH = np.zeros((n, T, self.hidden_sizes[-1]), dtype=self.dtype)
-        dH[:, -1, :] = d_last
+        dH = np.zeros((X.shape[1], self.hidden_sizes[-1], n), dtype=self.dtype)
+        dH[-1] = d_last.T
         for layer in reversed(self.layers):
             dH, layer_grads = layer.backward(dH)
             grads.update(layer_grads)
-        if self.l2 > 0:
-            for k, p in self.params.items():
-                if k.endswith("/b"):
-                    continue
-                grads[k] += 2.0 * self.l2 * p
-                loss += self.l2 * float(np.sum(p * p))
-        return loss, grads
+        return flat_loss_and_grad(self, loss, grads)
 
     # -- training -------------------------------------------------------------------
 
@@ -695,7 +699,7 @@ class DRNNRegressor:
 
     @property
     def n_parameters(self) -> int:
-        return int(sum(p.size for p in self.params.values()))
+        return self.theta.size
 
     # -- persistence -----------------------------------------------------------------
 
@@ -761,23 +765,18 @@ def gradient_check(
     float64; a systematic gradient bug pushes it far above.
     """
     rng = rng or np.random.default_rng(0)
-    _, grads = model.loss_and_grads(X, y)
-    keys = sorted(model.params)
+    theta = model.theta
+    _, grad = model.loss_and_grads(X, y)
     worst = 0.0
     for _ in range(n_checks):
-        direction = {k: rng.normal(size=model.params[k].shape) for k in keys}
-        norm = np.sqrt(sum(float(np.sum(v * v)) for v in direction.values()))
-        for v in direction.values():
-            v /= norm
-        analytic = sum(float(np.sum(grads[k] * direction[k])) for k in keys)
-        for k in keys:
-            model.params[k] += eps * direction[k]
+        direction = rng.normal(size=theta.shape)
+        direction /= np.sqrt(direction @ direction)
+        analytic = float(grad @ direction)
+        theta += eps * direction
         lp, _ = model.loss_and_grads(X, y)
-        for k in keys:
-            model.params[k] -= 2 * eps * direction[k]
+        theta -= 2 * eps * direction
         lm, _ = model.loss_and_grads(X, y)
-        for k in keys:
-            model.params[k] += eps * direction[k]
+        theta += eps * direction
         numeric = (lp - lm) / (2 * eps)
         denom = max(abs(numeric), abs(analytic), 1e-8)
         worst = max(worst, abs(numeric - analytic) / denom)

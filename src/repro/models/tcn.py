@@ -21,7 +21,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.models.drnn import Dense, TrainHistory, fit_regressor
+from repro.models.drnn import (
+    Dense,
+    TrainHistory,
+    fit_regressor,
+    flat_loss_and_grad,
+    pack_params,
+)
 
 
 class CausalConv1D:
@@ -175,10 +181,7 @@ class TCNRegressor:
             )
             dim = c
         self.head = Dense(dim, 1, self.rng, name="head", dtype=self.dtype)
-        self.params: Dict[str, np.ndarray] = {}
-        for layer in self.layers:
-            self.params.update(layer.params)
-        self.params.update(self.head.params)
+        self.theta, self.params, self.decay = pack_params([*self.layers, self.head])
         self.history = TrainHistory()
 
     @property
@@ -204,10 +207,9 @@ class TCNRegressor:
 
     predict = forward
 
-    def loss_and_grads(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> Tuple[float, Dict[str, np.ndarray]]:
-        """MSE loss (+ L2) and exact gradients for one batch."""
+    def loss_and_grads(self, X: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
+        """MSE loss (+ L2) and its exact gradient for one batch, as one
+        vector aligned with ``theta``."""
         y = np.asarray(y, dtype=self.dtype).ravel()
         pred = self.forward(X)
         n = y.shape[0]
@@ -221,13 +223,7 @@ class TCNRegressor:
         for layer in reversed(self.layers):
             dH, layer_grads = layer.backward(dH)
             grads.update(layer_grads)
-        if self.l2 > 0:
-            for k, p in self.params.items():
-                if k.endswith("/b"):
-                    continue
-                grads[k] += 2.0 * self.l2 * p
-                loss += self.l2 * float(np.sum(p * p))
-        return loss, grads
+        return flat_loss_and_grad(self, loss, grads)
 
     # -- training -------------------------------------------------------------------
 
@@ -236,7 +232,7 @@ class TCNRegressor:
 
     @property
     def n_parameters(self) -> int:
-        return int(sum(p.size for p in self.params.values()))
+        return self.theta.size
 
     def __repr__(self) -> str:
         return (

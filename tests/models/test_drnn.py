@@ -128,6 +128,22 @@ def test_predictions_finite():
     assert np.all(np.isfinite(model.predict(X)))
 
 
+@pytest.mark.parametrize("patience", [0, 5])
+def test_non_finite_gradient_raises_instead_of_poisoning_the_weights(patience):
+    # One NaN feature used to flow through clipping (NaN > max_norm is
+    # false) and Adam into every weight, and fit() returned a model whose
+    # predictions were all NaN.
+    X, y = toy_data(n=64)
+    X[40, 2, 1] = np.nan  # inside the training head for either patience
+    model = DRNNRegressor(
+        input_dim=3, hidden_sizes=(6,), epochs=3, patience=patience, seed=11
+    )
+    with pytest.raises(FloatingPointError, match=r"epoch 0, batch [0-3]\b"):
+        model.fit(X, y)
+    assert np.all(np.isfinite(model.theta))
+    assert np.all(np.isfinite(model.predict(np.nan_to_num(X))))
+
+
 # --- optimizer utilities ------------------------------------------------------------
 
 
@@ -160,8 +176,8 @@ def test_clip_by_global_norm():
 def test_lstm_layer_forward_shapes():
     rng = np.random.default_rng(10)
     layer = LSTMLayer(3, 5, rng, "l")
-    H = layer.forward(rng.normal(size=(4, 7, 3)))
-    assert H.shape == (4, 7, 5)
+    H = layer.forward(rng.normal(size=(7, 3, 4)))  # time-major (T, d, n)
+    assert H.shape == (7, 5, 4)
     assert np.all(np.abs(H) <= 1.0)  # h = o * tanh(c) is bounded
 
 

@@ -51,8 +51,8 @@ def test_gru_fewer_parameters_than_lstm():
 def test_gru_layer_shapes_and_bounds():
     rng = np.random.default_rng(4)
     layer = GRULayer(3, 6, rng, "g")
-    H = layer.forward(rng.normal(size=(4, 7, 3)))
-    assert H.shape == (4, 7, 6)
+    H = layer.forward(rng.normal(size=(7, 3, 4)))  # time-major (T, d, n)
+    assert H.shape == (7, 6, 4)
     assert np.all(np.abs(H) <= 1.0)  # convex mix of tanh candidates
 
 
