@@ -478,18 +478,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench.harness import main as bench_main
-
-    argv = ["--scale", args.scale, "--warmup", str(args.warmup),
-            "--repeats", str(args.repeats), "--out", args.out]
-    if args.only:
-        argv += ["--only", *args.only]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    return bench_main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
@@ -643,20 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "fraction, attribution shares); the diff JSON "
                         "goes to --out")
     p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("bench", help="time the tracked hot paths")
-    p.add_argument("--scale", default="smoke", choices=("smoke", "full"),
-                   help="workload size preset (default: smoke)")
-    p.add_argument("--warmup", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", default="BENCH.json",
-                   help="output JSON path")
-    p.add_argument("--only", nargs="*", default=None,
-                   help="subset of benchmark names to run")
-    p.add_argument("--jobs", type=_jobs_type, default=None, metavar="N",
-                   help="worker count for parallel benchmarks "
-                        "(0 = all cores; default: per-benchmark choice)")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.predictor import PerformancePredictor
-from repro.models.preprocessing import StandardScaler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.monitor import StatsMonitor
@@ -131,8 +132,10 @@ class RetrainingPredictor(PerformancePredictor):
         """Refit on the monitor's rolling window if there is enough data.
 
         Returns ``True`` when a refit actually trained a model.  Too-thin
-        history (warmup, or every worker idle) records a skipped
-        :class:`RetrainEvent` and keeps the previous model, if any.
+        history (warmup, or every worker idle) or a fit that fails
+        numerically (a non-finite gradient, a singular system) records a
+        skipped :class:`RetrainEvent` and keeps the previous model and
+        scalers, if any: the fresh ones are swapped in only on success.
         """
         n_intervals = monitor.n_intervals
         rows = 0
@@ -144,25 +147,26 @@ class RetrainingPredictor(PerformancePredictor):
                 rows = X.shape[0]
             except ValueError:
                 rows = 0
-        if rows < 4:  # the training loop's floor
-            self.retrain_log.append(
-                RetrainEvent(
-                    time=float(now), n_rows=rows,
-                    n_intervals=n_intervals, trained=False,
-                )
+        trained = False
+        if rows >= 4:  # the training loop's floor
+            fresh = PerformancePredictor(
+                self.model_factory(X.shape[2]), window=self.window
             )
-            return False
-        self.model = self.model_factory(X.shape[2])
-        self.scaler_x = StandardScaler()
-        self.scaler_y = StandardScaler()
-        self.fit(X, y)
+            try:
+                fresh.fit(X, y)
+            except (FloatingPointError, np.linalg.LinAlgError):
+                pass
+            else:
+                self.model = fresh.model
+                self.scaler_x, self.scaler_y = fresh.scaler_x, fresh.scaler_y
+                self.fitted = trained = True
         self.retrain_log.append(
             RetrainEvent(
                 time=float(now), n_rows=rows,
-                n_intervals=n_intervals, trained=True,
+                n_intervals=n_intervals, trained=trained,
             )
         )
-        return True
+        return trained
 
     @property
     def n_retrains(self) -> int:

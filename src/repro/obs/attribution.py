@@ -161,13 +161,20 @@ class AttributionSummary:
         return all(r.exact for r in self.records)
 
     def shares(self) -> Dict[str, float]:
-        """Component fractions of total end-to-end latency (sum ≈ 1)."""
+        """Component fractions of total end-to-end latency (sum ≈ 1).
+
+        All zero when the total is zero or a fraction does not fit a
+        float (a subnormal total beside second-scale components).
+        """
         sums = self.totals.sums()
         total = sum(sums)
-        return {
-            c: float(v / total) if total else 0.0
-            for c, v in zip(COMPONENTS, sums)
-        }
+        try:
+            return {
+                c: float(v / total) if total else 0.0
+                for c, v in zip(COMPONENTS, sums)
+            }
+        except OverflowError:
+            return dict.fromkeys(COMPONENTS, 0.0)
 
     def to_dict(self) -> Dict[str, Any]:
         """Byte-stable JSON-able digest (the report's ``attribution``)."""

@@ -1,7 +1,7 @@
 """Self-contained run reports: one JSON/HTML artifact per simulation run.
 
-Every entry point (demo, reliability, chaos, bench, ``python -m repro
-report``) can reduce a finished run to the same artifact: the segment
+Every entry point (demo, reliability, chaos, ``python -m repro report``)
+can reduce a finished run to the same artifact: the segment
 summary, the deterministic slice of the metrics registry, the SLO
 engine's episode log, trace accounting, and the deterministic kernel
 profile.  The JSON form is **byte-stable**: keys are sorted, floats are

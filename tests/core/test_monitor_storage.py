@@ -6,16 +6,68 @@ growth boundaries, leading idle intervals must be excluded from training
 data, and the control-loop readers must use cached column indices.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.hotpaths import make_monitor_fixture
 from repro.core import PerformancePredictor, StatsMonitor
 from repro.core.monitor import _INITIAL_CAPACITY
 from repro.models import DRNNRegressor
 from repro.models.preprocessing import StandardScaler, make_supervised_windows
+from repro.storm.metrics import (
+    MultilevelSnapshot,
+    NodeStats,
+    TopologyStats,
+    WorkerStats,
+)
+
+
+def make_monitor_fixture(n_workers, n_intervals, seed=0):
+    """A fake 4-workers-per-node cluster plus a synthetic snapshot stream."""
+    nodes = {}
+    workers = []
+    for wid in range(n_workers):
+        name = f"node{wid // 4}"
+        node = nodes.setdefault(name, SimpleNamespace(name=name))
+        workers.append(SimpleNamespace(worker_id=wid, node=node))
+    cluster = SimpleNamespace(workers=workers)
+
+    rng = np.random.default_rng(seed)
+    snapshots = []
+    for k in range(n_intervals):
+        wstats = {}
+        for wid in range(n_workers):
+            executed = int(rng.integers(0, 40))
+            wstats[wid] = WorkerStats(
+                worker_id=wid,
+                node_name=f"node{wid // 4}",
+                executed=executed,
+                emitted=int(rng.integers(0, 40)),
+                avg_process_latency=float(rng.uniform(0.001, 0.05)),
+                avg_service_time=float(rng.uniform(0.001, 0.02)),
+                queue_len=int(rng.integers(0, 10)),
+                backlog=int(rng.integers(0, 20)),
+                cpu_share=float(rng.uniform(0.0, 1.0)),
+            )
+        nstats = {
+            name: NodeStats(name=name, cores=4, utilization=float(rng.uniform(0, 1)))
+            for name in nodes
+        }
+        snapshots.append(
+            MultilevelSnapshot(
+                time=float(k),
+                topology=TopologyStats(
+                    emit_rate=float(rng.uniform(50, 200)),
+                    in_flight=int(rng.integers(0, 100)),
+                ),
+                nodes=nstats,
+                workers=wstats,
+            )
+        )
+    return cluster, snapshots
 
 
 def naive_histories(

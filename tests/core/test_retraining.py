@@ -17,10 +17,11 @@ def _factory():
     return OnlineModelFactory(hidden=(6,), epochs=8, seed=0)
 
 
-def _build_sim(seed=3, window=4, retrain_interval=20.0, max_history=None):
+def _build_sim(seed=3, window=4, retrain_interval=20.0, max_history=None,
+               factory=None):
     topo = build_url_count_topology(profile=RateProfile(base=150))
     predictor = RetrainingPredictor(
-        _factory(),
+        factory or _factory(),
         window=window,
         retrain_interval=retrain_interval,
         max_history=max_history,
@@ -93,6 +94,44 @@ def test_refit_skipped_during_warmup():
     # intervals, below min_intervals=8: the attempt must be a skip.
     assert [e.trained for e in predictor.retrain_log] == [False]
     assert not predictor.fitted
+
+
+class _DivergesAfterFirstFit:
+    """Factory whose models fit once, then raise like a DRNN whose
+    gradient went non-finite."""
+
+    def __init__(self):
+        self.models = []
+
+    def __call__(self, input_dim):
+        model = _factory()(input_dim)
+        if self.models:
+            def fit(X, y):
+                raise FloatingPointError("non-finite gradient")
+
+            model.fit = fit
+        self.models.append(model)
+        return model
+
+
+def test_failed_refit_keeps_the_previous_model():
+    factory = _DivergesAfterFirstFit()
+    sim, predictor, ctrl = _build_sim(factory=factory)
+    sim.run(duration=30.0)  # the t=20 refit trains
+    assert [e.trained for e in predictor.retrain_log] == [True]
+    scalers = (predictor.scaler_x, predictor.scaler_y)
+    sim.run(duration=60.0)  # the t=40, 60, 80 refits raise inside env.run()
+    log = predictor.retrain_log
+    assert [e.trained for e in log] == [True, False, False, False]
+    assert all(e.n_rows >= 4 for e in log)  # fits that failed, not thin data
+    assert len(factory.models) == 4
+    assert predictor.model is factory.models[0]
+    assert (predictor.scaler_x, predictor.scaler_y) == scalers
+    assert predictor.fitted and predictor.n_retrains == 1
+    # the controller kept predicting with the first model after each failure
+    assert any(a.predictions for a in ctrl.actions if a.time > 80.0)
+    preds = predictor.predict_workers(ctrl.monitor)
+    assert preds and all(np.isfinite(v) for v in preds.values())
 
 
 def test_in_sim_retraining_is_deterministic():

@@ -59,8 +59,7 @@ def test_float32_minibatch_tracks_float64_within_tolerance():
     # The float32 mini-batch/accumulation path starts from the same
     # rounded weights as float64 (see above) and must stay within single
     # precision round-off of the float64 reference over a short training
-    # run — the pinned tolerance for the fast path used by the
-    # ``drnn_minibatch`` benchmark.
+    # run — the pinned tolerance for the ``dtype="float32"`` fast path.
     X, y = _data(n=32)
     preds = {}
     for dtype in ("float64", "float32"):

@@ -25,6 +25,7 @@ from repro.obs import (
     render_folded,
     trace_to_jsonl,
 )
+from repro.obs.attribution import AttributionSummary
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import LatencyBreakdown, SpanForest, SpanTree, exact_sum
 from repro.storm import (
@@ -144,6 +145,14 @@ def test_shares_sum_to_one():
     shares = summary.shares()
     assert set(shares) == {"queue", "service", "transit", "replay"}
     assert abs(sum(shares.values()) - 1.0) < 1e-12
+
+
+def test_shares_of_a_subnormal_total_are_zero():
+    summary = AttributionSummary(interval=5.0)
+    summary.totals.add(queue=[1.0], service=[-1.0, 5e-324])
+    assert summary.shares() == dict.fromkeys(
+        ("queue", "service", "transit", "replay"), 0.0
+    )
 
 
 def test_per_interval_buckets_cover_every_record():
@@ -356,8 +365,9 @@ def tree_events(draw, root):
                 edge=edge, roots=(root,), task=task, component=stage)),
         ]
         prev, src = done, task
-    # deferred-ack hold: the close may come after the last execute
-    close = draw(st.sampled_from((prev,)) | times)
+    # deferred-ack hold: the close may come after the last execute, and
+    # never before the emit (a run cannot record a negative latency)
+    close = draw(st.sampled_from((max(prev, emit),)) | st.floats(emit, 1e6))
     if draw(st.integers(0, 9)) == 0:
         events.append(TraceEvent(close, "tuple.fail", dict(
             root=root, latency=close - emit, reason="timeout")))
@@ -390,11 +400,13 @@ def test_attribute_forest_equals_the_fraction_oracle(forest, interval):
         dict(as_floats(windows[i]), t0=i * interval, t1=(i + 1) * interval)
         for i in sorted(windows)
     ]
-    total = sum(totals[c] for c in ("queue", "service", "transit", "replay"))
-    assert summary.shares() == d["shares"] == {
-        c: float(totals[c] / total) if total else 0.0
-        for c in ("queue", "service", "transit", "replay")
-    }
+    components = ("queue", "service", "transit", "replay")
+    total = sum(totals[c] for c in components)
+    try:
+        shares = {c: float(totals[c] / total) if total else 0.0 for c in components}
+    except OverflowError:  # a subnormal total: no float holds the fraction
+        shares = dict.fromkeys(components, 0.0)
+    assert summary.shares() == d["shares"] == shares
     assert [r.exact for r in summary.records] == exact
     assert d["exact"] == all(exact)
     acked = len(forest.acked_trees())

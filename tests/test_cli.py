@@ -59,13 +59,22 @@ def test_demo_command_runs(capsys):
     assert "healthy throughput" in captured
 
 
-@pytest.mark.parametrize("command", ["chaos", "predict", "bench"])
+@pytest.mark.parametrize("command", ["chaos", "predict"])
 def test_negative_jobs_is_a_usage_error(command, capsys):
     """``--jobs -1`` must exit with argparse's usage error code (2)."""
     with pytest.raises(SystemExit) as exc_info:
         main([command, "--jobs", "-1"])
     assert exc_info.value.code == 2
     assert "jobs must be >= 0" in capsys.readouterr().err
+
+
+def test_removed_bench_command_is_rejected(capsys):
+    """One benchmark system: the perf ledger under ``benchmarks/ledger/``."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(["bench", "--scale", "smoke"])
+    assert exc_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    assert "bench" not in build_parser().format_help()
 
 
 def test_jobs_not_an_int_is_a_usage_error(capsys):
