@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """API lint: keep first-party code on the blessed run-API surface.
 
-Four rules; the first three are enforced over ``src/``, ``examples/``,
+Five rules; the first three are enforced over ``src/``, ``examples/``,
 ``benchmarks/`` and ``scripts/`` (tests are exempt: they construct
 simulations directly to cover the wiring):
 
@@ -17,6 +17,11 @@ simulations directly to cover the wiring):
    must be referenced by first-party code under ``src/`` outside
    ``des/``, so the kernel cannot regrow primitives no simulation uses
    (tests alone do not keep a primitive alive).
+5. **No unused grouping surface** — every ``ComponentSpec.*_grouping``
+   builder method must be called by first-party code under ``src/``,
+   ``examples/`` or ``benchmarks/`` outside ``src/repro/storm/``, so the
+   simulator cannot regrow groupings no workload routes through (tests
+   alone do not keep a grouping alive).
 
 Exit status is non-zero when any violation is found, so CI can gate on
 it.  Run from the repository root::
@@ -53,6 +58,12 @@ QUEUE_ACCESS_ALLOWLIST = {
 
 #: the kernel package whose ``__all__`` rule 4 audits
 DES_PACKAGE = Path("src/repro/des")
+
+#: the module whose ``ComponentSpec`` grouping builders rule 5 audits,
+#: and the directories whose code (outside ``storm/``) must call them
+TOPOLOGY_MODULE = Path("src/repro/storm/topology.py")
+STORM_PACKAGE = Path("src/repro/storm")
+GROUPING_CALLER_DIRS = ("src", "examples", "benchmarks")
 
 CONSTRUCT_RE = re.compile(r"\bStormSimulation\s*\(")
 QUEUE_RE = re.compile(r"\._queue\b")
@@ -132,11 +143,43 @@ def check_des_surface() -> List[Violation]:
     ]
 
 
+def check_grouping_surface(root: Path = REPO_ROOT) -> List[Violation]:
+    """Rule 5: ``ComponentSpec.*_grouping`` builders nobody outside
+    ``storm/`` calls."""
+    rel = TOPOLOGY_MODULE
+    tree = ast.parse((root / rel).read_text(encoding="utf-8"))
+    builders = [
+        (fn.name, fn.lineno)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "ComponentSpec"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.endswith("_grouping")
+    ]
+    storm_root = root / STORM_PACKAGE
+    callers = "\n".join(
+        path.read_text(encoding="utf-8")
+        for d in GROUPING_CALLER_DIRS
+        if (root / d).is_dir()
+        for path in sorted((root / d).rglob("*.py"))
+        if storm_root not in path.parents
+    )
+    return [
+        (
+            rel, lineno, "unused-grouping-surface",
+            f"ComponentSpec.{name} is never called under src/, examples/ "
+            "or benchmarks/ outside storm/; delete the grouping",
+        )
+        for name, lineno in builders
+        if not re.search(rf"\.{re.escape(name)}\s*\(", callers)
+    ]
+
+
 def main() -> int:
     violations: List[Violation] = []
     for path in iter_py_files():
         violations.extend(check_file(path))
     violations.extend(check_des_surface())
+    violations.extend(check_grouping_surface())
     for rel, lineno, rule, msg in violations:
         print(f"{rel}:{lineno}: [{rule}] {msg}")
     if violations:

@@ -8,8 +8,8 @@ observes and manipulates:
   spouts, bolts, streams, parallelism hints, declared groupings; mirrors
   Storm's ``TopologyBuilder``.
 * **Stream groupings** (:mod:`~repro.storm.grouping`) — shuffle, fields,
-  global, all, direct, local-or-shuffle, partial-key, and the paper's
-  **dynamic grouping** (arbitrary split ratios, changeable on the fly).
+  global, and the paper's **dynamic grouping** (arbitrary split ratios,
+  changeable on the fly); each is one compiled routing closure.
 * **Reliability machinery** (:mod:`~repro.storm.acker`) — XOR tuple-tree
   ledger, message timeouts, replay; gives at-least-once semantics.
 * **Execution model** (:mod:`~repro.storm.executor`,
@@ -56,13 +56,9 @@ from repro.storm.faults import (
     WorkerCrashFault,
 )
 from repro.storm.grouping import (
-    AllGrouping,
-    DirectGrouping,
     DynamicGrouping,
     FieldsGrouping,
     GlobalGrouping,
-    LocalOrShuffleGrouping,
-    PartialKeyGrouping,
     ShuffleGrouping,
 )
 from repro.storm.metrics import MetricsCollector, MultilevelSnapshot
@@ -74,7 +70,6 @@ from repro.storm.tuples import Tuple
 
 __all__ = [
     "AckLedger",
-    "AllGrouping",
     "Bolt",
     "CampaignReport",
     "ChaosCampaign",
@@ -82,7 +77,6 @@ __all__ = [
     "ChaosSpec",
     "Cluster",
     "CpuHogFault",
-    "DirectGrouping",
     "DynamicGrouping",
     "ElasticScheduler",
     "Emission",
@@ -91,7 +85,6 @@ __all__ = [
     "MembershipEvent",
     "FieldsGrouping",
     "GlobalGrouping",
-    "LocalOrShuffleGrouping",
     "MessageLossFault",
     "MetricsCollector",
     "MultilevelSnapshot",
@@ -100,7 +93,6 @@ __all__ = [
     "NodeSpec",
     "OutputCollector",
     "PackingScheduler",
-    "PartialKeyGrouping",
     "PauseFault",
     "RampingHogFault",
     "ResourceAwareScheduler",

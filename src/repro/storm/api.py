@@ -72,13 +72,9 @@ class OutputCollector:
         values: Sequence[Any],
         stream: str = DEFAULT_STREAM,
         anchors: Optional[Sequence[Tuple]] = None,
-        direct_task: Optional[int] = None,
     ) -> None:
-        """Emit ``values`` on ``stream``, anchored to the given input tuples.
-
-        ``direct_task`` targets a specific downstream task (direct grouping).
-        """
-        self._buffer.append((tuple(values), stream, tuple(anchors or ()), direct_task))
+        """Emit ``values`` on ``stream``, anchored to the given input tuples."""
+        self._buffer.append((tuple(values), stream, tuple(anchors or ())))
 
     def ack(self, tup: Tuple) -> None:
         """Explicitly ack an input tuple (needed when auto-ack is off)."""

@@ -210,7 +210,6 @@ class Cluster:
                     assert isinstance(instance, Bolt)
                     ex = BoltExecutor(bolt=instance, context=context, **common)
                 ex.declared_outputs = dict(instance.declare_outputs())
-                ex._cluster = self  # epoch source for routing-plan rebinds
                 self.executors[task_id] = ex
 
         # Wire outbound groupings: each upstream executor gets its own
@@ -224,11 +223,6 @@ class Cluster:
                     control = self.ratio_controls.get(
                         (cid, consumer_id, gspec.stream)
                     )
-                    local = [
-                        t
-                        for t in targets
-                        if assignment[t] is assignment[task_id]
-                    ]
                     grouping = make_grouping(
                         gspec.strategy,
                         targets,
@@ -237,7 +231,6 @@ class Cluster:
                             f"grouping/{cid}/{task_index}/{consumer_id}/{gspec.stream}"
                         ),
                         control=control,
-                        local_tasks=local,
                     )
                     ex.outbound.setdefault(gspec.stream, []).append(
                         (consumer_id, grouping)
@@ -266,7 +259,7 @@ class Cluster:
                 f"stream {stream!r}; dynamic edges: "
                 f"{sorted(self.ratio_controls)}"
             )
-        control.set_ratios(ratios, now=self.env.now)
+        control.set_ratios(ratios)
 
     def get_split_ratios(
         self, source: str, consumer: str, stream: str = "default"

@@ -18,7 +18,9 @@ the topology runs:
 
 Every membership change bumps :attr:`Cluster.membership_epoch`; bind-time
 snapshots elsewhere (the controller's task→worker map, the monitor's row
-registry) resync against it instead of going quietly stale.
+registry) resync against it instead of going quietly stale.  Routing
+needs no resync: moving executors never changes task ids, and no
+grouping's targets depend on placement.
 
 Determinism: victim/donor/target selection uses only simulation state
 (queue depths, executor counts, ids) with total tie-breaks, never
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.storm.executor import BoltExecutor
-from repro.storm.grouping import LocalOrShuffleGrouping
 from repro.storm.worker import Worker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -112,7 +113,6 @@ class ElasticScheduler:
         cluster._next_worker_id += 1
         cluster.workers.append(worker)
         moved = self._rebalance_onto(worker)
-        self._rewire_local_groupings()
         cluster.membership_epoch += 1
         event = MembershipEvent(
             time=cluster.env.now,
@@ -199,7 +199,6 @@ class ElasticScheduler:
         victim.restart()  # release the gate before the worker is dropped
         cluster.workers.remove(victim)
         victim.node.workers.remove(victim)
-        self._rewire_local_groupings()
         cluster.membership_epoch += 1
         event = MembershipEvent(
             time=cluster.env.now,
@@ -217,28 +216,6 @@ class ElasticScheduler:
                 pool=len(cluster.workers),
             )
         return lost
-
-    # -- grouping upkeep ----------------------------------------------------------
-
-    def _rewire_local_groupings(self) -> None:
-        """Recompute local-or-shuffle locality after placement changed."""
-        cluster = self.cluster
-        placement = cluster.transport.placement
-        for ex in cluster.executors.values():
-            for consumers in ex.outbound.values():
-                for _consumer_id, grouping in consumers:
-                    if not isinstance(grouping, LocalOrShuffleGrouping):
-                        continue
-                    local = [
-                        t
-                        for t in grouping.target_tasks
-                        if placement[t] is placement[ex.task_id]
-                    ]
-                    grouping.local_tasks = local
-                    pool = local or list(grouping.target_tasks)
-                    if pool != grouping._pool:
-                        grouping._pool = pool
-                        grouping._next %= len(pool)
 
     def __repr__(self) -> str:
         return (

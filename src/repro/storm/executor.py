@@ -330,14 +330,9 @@ class BaseExecutor:
         #: stream -> [(consumer_id, Grouping)]
         self.outbound: Dict[str, List[Tup[str, Grouping]]] = {}
         self.declared_outputs: Dict[str, Tup[str, ...]] = {}
-        #: set by Cluster.submit: the epoch source for routing-plan
-        #: invalidation (None for executors built outside a cluster)
-        self._cluster: Optional[Any] = None
-        #: compiled routing plans, lazily built per stream; cleared
-        #: whenever the cluster's membership epoch moves (elastic
-        #: add/remove rewires consumer task sets)
+        #: compiled routing plans, built per stream on first emission and
+        #: never rebuilt (consumer task ids do not change)
         self._plans: Dict[str, Optional[Tup[Tup[str, ...], List[Router]]]] = {}
-        self._plan_epoch = -1
         self._next_edge = env.next_edge_id  # bound-method cache (hot path)
         # service noise: sigma is static config and ``rng`` feeds nothing
         # else, so normals are drawn a block at a time (a sized draw
@@ -382,7 +377,6 @@ class BaseExecutor:
         values: Tup[Any, ...],
         stream: str,
         roots: Tup[int, ...],
-        direct_task: Optional[int] = None,
     ) -> List[int]:
         """Create per-target tuples, update the ack ledger, and send.
 
@@ -393,7 +387,7 @@ class BaseExecutor:
         :meth:`_compile_plan`).
         """
         sends: List[Tup[int, Tuple]] = []
-        edges = self._route_collect(values, stream, roots, direct_task, sends)
+        edges = self._route_collect(values, stream, roots, sends)
         # One deliver() per emission: same-latency targets share delivery
         # events and chaos faults hook the single transport seam.
         if sends:
@@ -438,17 +432,11 @@ class BaseExecutor:
         values: Tup[Any, ...],
         stream: str,
         roots: Tup[int, ...],
-        direct_task: Optional[int],
         sends: List[Tup[int, Tuple]],
     ) -> List[int]:
         """Route one emission via the compiled plan, appending its
         ``(dst_task, tuple)`` pairs to ``sends`` (callers batch several
         emissions into one :meth:`Transport.deliver`)."""
-        cluster = self._cluster
-        if cluster is not None and cluster.membership_epoch != self._plan_epoch:
-            # Elastic add/remove rewired consumer task sets: recompile.
-            self._plans.clear()
-            self._plan_epoch = cluster.membership_epoch
         try:
             plan = self._plans[stream]
         except KeyError:
@@ -463,7 +451,7 @@ class BaseExecutor:
         component = self.component_id
         task = self.task_id
         for router in routers:
-            for dst in router(values, direct_task):
+            for dst in router(values):
                 edge = next_edge()
                 edges.append(edge)
                 # positional Tuple(values, stream, source_component,
@@ -799,7 +787,7 @@ class BoltExecutor(BaseExecutor):
         # call: the per-emission send groups land back-to-back in list
         # order, and the chaos streams draw per tuple in that order.
         sends: List[Tup[int, Tuple]] = []
-        for values, stream, anchors, direct_task in emissions:
+        for values, stream, anchors in emissions:
             anchor_roots: Tup[int, ...]
             if anchors:
                 seen: List[int] = []
@@ -810,9 +798,7 @@ class BoltExecutor(BaseExecutor):
                 anchor_roots = tuple(seen)
             else:
                 anchor_roots = ()
-            self._route_collect(
-                values, stream, anchor_roots, direct_task, sends
-            )
+            self._route_collect(values, stream, anchor_roots, sends)
         if sends:
             self.transport.deliver(self.worker, sends)
         for t in acked:

@@ -97,8 +97,7 @@ class GroupingSpec:
 
     source: str
     stream: str
-    strategy: str  # "shuffle" | "fields" | "global" | "all" | "direct" |
-    #               "local_or_shuffle" | "partial_key" | "dynamic"
+    strategy: str  # "shuffle" | "fields" | "global" | "dynamic"
     fields: Tup[str, ...] = ()
     initial_ratios: Optional[Tup[float, ...]] = None
 
@@ -143,24 +142,6 @@ class ComponentSpec:
 
     def global_grouping(self, source: str, stream: str = DEFAULT_STREAM):
         return self._add(GroupingSpec(source, stream, "global"))
-
-    def all_grouping(self, source: str, stream: str = DEFAULT_STREAM):
-        return self._add(GroupingSpec(source, stream, "all"))
-
-    def direct_grouping(self, source: str, stream: str = DEFAULT_STREAM):
-        return self._add(GroupingSpec(source, stream, "direct"))
-
-    def local_or_shuffle_grouping(self, source: str, stream: str = DEFAULT_STREAM):
-        return self._add(GroupingSpec(source, stream, "local_or_shuffle"))
-
-    def partial_key_grouping(
-        self, source: str, fields: Sequence[str], stream: str = DEFAULT_STREAM
-    ):
-        if not fields:
-            raise ValueError("partial key grouping requires at least one field")
-        return self._add(
-            GroupingSpec(source, stream, "partial_key", fields=tuple(fields))
-        )
 
     def dynamic_grouping(
         self,
@@ -232,7 +213,7 @@ class Topology:
                         f"{spec.component_id!r} subscribes to undeclared "
                         f"stream {g.stream!r} of {g.source!r}"
                     )
-                if g.strategy in ("fields", "partial_key"):
+                if g.strategy == "fields":
                     missing = set(g.fields) - set(declared[g.stream])
                     if missing:
                         raise ValueError(

@@ -71,7 +71,7 @@ def test_count_bolt_counts_and_evicts():
     clock["now"] = 12.5  # "a"@1 and "a"@2 expired, "b"@3 alive
     bolt.tick(12.5, col)
     emissions, _, _ = col.drain()
-    counts = {v[0]: v[1] for v, s, _a, _d in emissions if s == "counts"}
+    counts = {v[0]: v[1] for v, s, _a in emissions if s == "counts"}
     assert counts == {"b": 1}
     assert bolt.window_population == 1
 
@@ -90,7 +90,7 @@ def test_count_bolt_emits_top_k_only():
     col.drain()
     bolt.tick(10.0, col)
     emissions, _, _ = col.drain()
-    emitted = [v[0] for v, s, _a, _d in emissions if s == "counts"]
+    emitted = [v[0] for v, s, _a in emissions if s == "counts"]
     assert emitted == ["a", "b"]
 
 

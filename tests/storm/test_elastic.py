@@ -12,6 +12,7 @@ import pytest
 from repro.core import PerformancePredictor, PredictiveController
 from repro.core.config import ControllerConfig
 from repro.storm import (
+    Emission,
     NodeSpec,
     SimulationBuilder,
     SlowdownFault,
@@ -19,7 +20,6 @@ from repro.storm import (
     TopologyConfig,
 )
 from repro.storm.executor import SpoutExecutor
-from repro.storm.grouping import LocalOrShuffleGrouping
 from tests.storm.helpers import CounterSpout, PassBolt, SinkBolt
 
 NODES = tuple(
@@ -27,17 +27,42 @@ NODES = tuple(
 )
 
 
+class KeySpout(CounterSpout):
+    """Cycles through 16 keys, so every key recurs many times."""
+
+    def next_tuple(self):
+        emission = super().next_tuple()
+        return Emission(values=(self.emitted % 16,), msg_id=emission.msg_id)
+
+
+class KeyedPassBolt(PassBolt):
+    """Re-emits its input and remembers every key it saw."""
+
+    def __init__(self):
+        self.seen = []
+
+    def execute(self, tup, collector):
+        self.seen.append(tup[0])
+        super().execute(tup, collector)
+
+
 def topology(num_workers=3, rate=150.0, grouping="shuffle"):
     b = TopologyBuilder()
-    b.set_spout("src", CounterSpout(rate=rate), parallelism=1)
-    mid = b.set_bolt("mid", PassBolt(), parallelism=4)
-    if grouping == "shuffle":
-        mid.shuffle_grouping("src")
-    elif grouping == "local_or_shuffle":
-        mid.local_or_shuffle_grouping("src")
-    elif grouping == "dynamic":
-        mid.dynamic_grouping("src")
-    b.set_bolt("sink", SinkBolt(), parallelism=2).shuffle_grouping("mid")
+    if grouping == "fields":
+        # a fields edge into mid and a dynamic edge out of it
+        b.set_spout("src", KeySpout(rate=rate), parallelism=1)
+        b.set_bolt("mid", KeyedPassBolt(), parallelism=4).fields_grouping(
+            "src", ["n"]
+        )
+        b.set_bolt("sink", SinkBolt(), parallelism=2).dynamic_grouping("mid")
+    else:
+        b.set_spout("src", CounterSpout(rate=rate), parallelism=1)
+        mid = b.set_bolt("mid", PassBolt(), parallelism=4)
+        if grouping == "shuffle":
+            mid.shuffle_grouping("src")
+        elif grouping == "dynamic":
+            mid.dynamic_grouping("src")
+        b.set_bolt("sink", SinkBolt(), parallelism=2).shuffle_grouping("mid")
     return b.build(
         "elastic-t",
         TopologyConfig(
@@ -192,27 +217,49 @@ class TestScaleIn:
         assert sorted(w.worker_id for w in sim.cluster.workers) == [0, 1, 2]
 
 
-class TestGroupingRewire:
-    def test_local_or_shuffle_pools_track_placement(self):
-        sim = build_sim(grouping="local_or_shuffle")
-        sim.run(5.0)
-        sim.cluster.elastic.add_worker()
-        placement = sim.cluster.transport.placement
+class TestRoutingAcrossMembership:
+    @staticmethod
+    def _key_owners(sim, start):
+        """key -> set of mid task ids that executed it, from ``start[task]``."""
+        owners = {}
         for ex in sim.cluster.executors.values():
-            for consumers in ex.outbound.values():
-                for _cid, grouping in consumers:
-                    if not isinstance(grouping, LocalOrShuffleGrouping):
-                        continue
-                    expected_local = [
-                        t
-                        for t in grouping.target_tasks
-                        if placement[t] is placement[ex.task_id]
-                    ]
-                    assert grouping.local_tasks == expected_local
-                    pool = expected_local or list(grouping.target_tasks)
-                    assert grouping._pool == pool
-                    assert 0 <= grouping._next < len(pool)
+            if ex.component_id == "mid":
+                for key in ex.bolt.seen[start.get(ex.task_id, 0):]:
+                    owners.setdefault(key, set()).add(ex.task_id)
+        return owners
+
+    @staticmethod
+    def _sink_counts(sim):
+        return [
+            sim.cluster.executors[t].executed_count
+            for t in sim.cluster.topology.task_ids["sink"]
+        ]
+
+    def test_routing_survives_membership_changes_without_recompile(self):
+        sim = build_sim(grouping="fields")
         sim.run(5.0)
+        before = self._key_owners(sim, {})
+        mark = {
+            ex.task_id: len(ex.bolt.seen)
+            for ex in sim.cluster.executors.values()
+            if ex.component_id == "mid"
+        }
+        sim.cluster.elastic.add_worker()
+        sim.run(5.0)
+        sim.cluster.elastic.remove_worker()
+        sim.run(5.0)
+        after = self._key_owners(sim, mark)
+        # every key keeps its one task across the scale-out and scale-in
+        assert set(before) == set(after) == set(range(16))
+        assert all(len(tasks) == 1 for tasks in before.values())
+        assert after == before
+        # a re-split requested after the scale-in still reaches every emitter
+        sim.cluster.set_split_ratios("mid", "sink", [0.8, 0.2])
+        counts0 = self._sink_counts(sim)
+        sim.run(15.0)
+        delta = np.subtract(self._sink_counts(sim), counts0)
+        assert delta.sum() > 1000
+        assert delta[0] / delta.sum() == pytest.approx(0.8, abs=0.02)
         assert_conserved(sim)
 
 

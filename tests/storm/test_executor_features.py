@@ -128,38 +128,6 @@ def test_declared_but_unsubscribed_stream_evaporates():
     assert res.acked == 20  # side-stream emits don't block tree completion
 
 
-def test_direct_grouping_end_to_end():
-    class DirectorBolt(Bolt):
-        outputs = {"default": ("n",)}
-
-        def prepare(self, context):
-            self.targets = None
-
-        def execute(self, tup, collector):
-            collector.emit((tup[0],), anchors=[tup], direct_task=self.target)
-
-    b = TopologyBuilder()
-    b.set_spout("src", CounterSpout(rate=100, limit=30))
-    b.set_bolt("direct", DirectorBolt()).shuffle_grouping("src")
-    b.set_bolt("sink", SinkBolt(), parallelism=3).direct_grouping("direct")
-    topo = b.build("direct", TopologyConfig(num_workers=1))
-    sim = StormSimulation(topo, nodes=NODES, seed=0)
-    # Point every direct emit at the middle sink task.
-    sink_tasks = topo.task_ids["sink"]
-    for ex in sim.cluster.executors.values():
-        if ex.component_id == "direct":
-            ex.bolt.target = sink_tasks[1]
-    res = sim.run(duration=5)
-    per_task = {
-        ex.task_id: ex.executed_count
-        for ex in sim.cluster.executors.values()
-        if ex.component_id == "sink"
-    }
-    assert per_task[sink_tasks[1]] == 30
-    assert per_task[sink_tasks[0]] == 0 and per_task[sink_tasks[2]] == 0
-    assert res.acked == 30
-
-
 def test_spout_exhaustion_stops_cleanly():
     b = TopologyBuilder()
     b.set_spout("src", CounterSpout(rate=100, limit=10))

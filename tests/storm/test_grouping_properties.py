@@ -2,11 +2,11 @@
 
 Three families of properties the chaos/regression harness leans on:
 
-* **Closure** — every ``choose()`` result is a subset of the grouping's
-  declared target tasks, for every strategy and any tuple content.
+* **Closure** — every compiled router's result is a subset of the
+  grouping's declared target tasks, for every strategy and any tuple
+  content.
 * **Convergence** — dynamic grouping's achieved split converges to any
-  requested ratio vector; partial-key grouping keeps a hot key balanced
-  across its two candidates.
+  requested ratio vector.
 * **Permutation stability** — key-partitioned groupings assign each key
   to the same task regardless of the order the wiring code enumerated
   the consumer's task list in (re-wiring a topology must not reshuffle
@@ -18,20 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storm.grouping import (
-    AllGrouping,
     DynamicGrouping,
     FieldsGrouping,
     GlobalGrouping,
-    LocalOrShuffleGrouping,
-    PartialKeyGrouping,
     ShuffleGrouping,
     SplitRatioControl,
 )
-from repro.storm.tuples import Tuple
 
 
-def mktuple(key):
-    return Tuple(values=(key,), fields=("key",))
+def router(g):
+    """The grouping's compiled router for a one-field ``("key",)`` stream."""
+    return g.compile_router(fields=("key",))
 
 
 def permuted(tasks, seed):
@@ -47,7 +44,7 @@ task_lists = st.lists(
 )
 
 
-# --- closure: choose() never leaves the declared targets ----------------------
+# --- closure: a router never leaves the declared targets ------------------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -58,16 +55,13 @@ def test_choose_subset_of_targets_all_strategies(tasks, key, seed):
     groupings = [
         ShuffleGrouping(tasks, rng),
         GlobalGrouping(tasks),
-        AllGrouping(tasks),
         FieldsGrouping(tasks, fields=["key"]),
-        PartialKeyGrouping(tasks, fields=["key"]),
-        LocalOrShuffleGrouping(tasks, rng, local_tasks=tasks[: len(tasks) // 2]),
         DynamicGrouping(tasks, SplitRatioControl(len(tasks))),
     ]
-    tup = mktuple(key)
     for g in groupings:
+        route = router(g)
         for _ in range(5):
-            chosen = g.choose(tup)
+            chosen = route((key,))
             assert chosen, f"{g!r} chose nothing"
             assert set(chosen) <= targets, f"{g!r} chose outside its targets"
 
@@ -85,10 +79,10 @@ def test_dynamic_converges_to_requested_ratio(n_targets, seed, n_tuples):
     rng = np.random.default_rng(seed)
     ratios = rng.random(n_targets) + 0.05
     control = SplitRatioControl(n_targets, ratios=ratios)
-    g = DynamicGrouping(list(range(n_targets)), control)
+    route = router(DynamicGrouping(list(range(n_targets)), control))
     counts = np.zeros(n_targets)
     for i in range(n_tuples):
-        counts[g.choose(mktuple(i))[0]] += 1
+        counts[route((i,))[0]] += 1
     achieved = counts / n_tuples
     # Deficit-WRR bounds the absolute count error by one tuple per target,
     # so the achieved fraction is within n_targets / n_tuples of requested.
@@ -105,30 +99,18 @@ def test_dynamic_converges_to_requested_ratio(n_targets, seed, n_tuples):
 def test_dynamic_tracks_mid_stream_resplit(n_targets, seed):
     rng = np.random.default_rng(seed)
     control = SplitRatioControl(n_targets)
-    g = DynamicGrouping(list(range(n_targets)), control)
+    route = router(DynamicGrouping(list(range(n_targets)), control))
     for i in range(100):
-        g.choose(mktuple(i))
+        route((i,))
     new_ratios = rng.random(n_targets) + 0.05
     control.set_ratios(new_ratios)
     counts = np.zeros(n_targets)
     n = 600
     for i in range(n):
-        counts[g.choose(mktuple(i))[0]] += 1
+        counts[route((i,))[0]] += 1
     assert np.all(
         np.abs(counts / n - control.ratios) <= n_targets / n + 1e-9
     )
-
-
-@settings(max_examples=40, deadline=None)
-@given(tasks=task_lists.filter(lambda t: len(t) >= 2), key=keys)
-def test_partial_key_hot_key_stays_balanced(tasks, key):
-    g = PartialKeyGrouping(tasks, fields=["key"])
-    picks = [g.choose(mktuple(key))[0] for _ in range(400)]
-    chosen = set(picks)
-    assert len(chosen) <= 2
-    if len(chosen) == 2:
-        counts = sorted(picks.count(t) for t in chosen)
-        assert counts[1] - counts[0] <= 1
 
 
 # Ratios drawn from a few repeated values (exact ties, zeros) and from
@@ -142,15 +124,17 @@ ratio_values = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), n_targets=st.integers(1, 8))
 def test_dynamic_choose_is_bit_equal_to_the_numpy_reference(data, n_targets):
-    """The float-list credit loop picks, tuple for tuple, what the NumPy
-    formulation (``credit += ratios; argmax; credit[w] -= 1``) picks, and
-    leaves the same credit behind."""
+    """The compiled router's float-list credit loop picks, tuple for
+    tuple, what the NumPy formulation (``credit += ratios; argmax;
+    credit[w] -= 1``) picks, and leaves the same credit behind, across
+    interleaved ratio changes."""
     vectors = st.lists(
         ratio_values, min_size=n_targets, max_size=n_targets
     ).filter(lambda v: sum(v) > 0)
     control = SplitRatioControl(n_targets, data.draw(vectors))
     tasks = list(range(100, 100 + n_targets))
     g = DynamicGrouping(tasks, control)
+    route = router(g)
     credit = np.zeros(n_targets)
     steps = data.draw(
         st.lists(st.one_of(st.none(), st.just("choose")), max_size=120)
@@ -163,7 +147,7 @@ def test_dynamic_choose_is_bit_equal_to_the_numpy_reference(data, n_targets):
         credit += control.ratios
         winner = int(np.argmax(credit))
         credit[winner] -= 1.0
-        assert g.choose(None) == [tasks[winner]]
+        assert route((step,)) == [tasks[winner]]
         assert g._credit == credit.tolist()
 
 
@@ -174,27 +158,16 @@ def test_dynamic_choose_is_bit_equal_to_the_numpy_reference(data, n_targets):
 @settings(max_examples=60, deadline=None)
 @given(tasks=task_lists, key=keys, seed=st.integers(0, 2**31))
 def test_fields_grouping_stable_under_task_permutation(tasks, key, seed):
-    base = FieldsGrouping(tasks, fields=["key"])
-    shuffled = FieldsGrouping(permuted(tasks, seed), fields=["key"])
-    assert base.choose(mktuple(key)) == shuffled.choose(mktuple(key))
-
-
-@settings(max_examples=60, deadline=None)
-@given(tasks=task_lists, key=keys, seed=st.integers(0, 2**31))
-def test_partial_key_candidates_stable_under_task_permutation(tasks, key, seed):
-    # The *candidate pair* for a key is order-independent; the final pick
-    # depends on load history, so compare fresh instances tuple-by-tuple.
-    base = PartialKeyGrouping(tasks, fields=["key"])
-    shuffled = PartialKeyGrouping(permuted(tasks, seed), fields=["key"])
-    for _ in range(20):
-        assert base.choose(mktuple(key)) == shuffled.choose(mktuple(key))
+    base = router(FieldsGrouping(tasks, fields=["key"]))
+    shuffled = router(FieldsGrouping(permuted(tasks, seed), fields=["key"]))
+    assert base((key,)) == shuffled((key,))
 
 
 def test_fields_permutation_regression_concrete():
     # Pinned example: before sorting targets internally, reversing the
     # task list re-homed most keys.
     tasks = [3, 7, 11, 15]
-    a = FieldsGrouping(tasks, fields=["key"])
-    b = FieldsGrouping(list(reversed(tasks)), fields=["key"])
+    a = router(FieldsGrouping(tasks, fields=["key"]))
+    b = router(FieldsGrouping(list(reversed(tasks)), fields=["key"]))
     for i in range(100):
-        assert a.choose(mktuple(f"k{i}")) == b.choose(mktuple(f"k{i}"))
+        assert a((f"k{i}",)) == b((f"k{i}",))

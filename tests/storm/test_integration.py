@@ -201,17 +201,6 @@ def test_fields_grouping_keeps_key_locality():
         assert sum(key in ks for ks in all_key_sets) == 1
 
 
-def test_all_grouping_replicates():
-    b = TopologyBuilder()
-    b.set_spout("src", CounterSpout(rate=100, limit=40))
-    b.set_bolt("bcast", SinkBolt(), parallelism=3).all_grouping("src")
-    topo = b.build("bcast", TopologyConfig(num_workers=2))
-    sim = StormSimulation(topo, nodes=NODES, seed=9)
-    res = sim.run(duration=5)
-    assert executed_of(sim, "bcast") == 120  # 40 tuples × 3 replicas
-    assert res.acked == 40  # each tree completes once all replicas ack
-
-
 def test_interference_slows_colocated_worker():
     # Two separate single-bolt pipelines placed on ONE node: raising the
     # load of pipeline A must inflate pipeline B's service latency.

@@ -1,16 +1,19 @@
-"""Compiled routing tables must be element-equal to per-tuple dispatch.
+"""Compiled routing tables must be element-equal to the reference policy.
 
 The emit hot path routes through closures compiled once per
-``(source_task, stream)`` (:meth:`Grouping.compile_router`); the contract
-is that for any tuple sequence and any permutation of the consumer task
-list, the compiled router returns exactly the task ids the per-tuple
-``choose`` dispatch would have — including stateful strategies (shuffle
-cursors, partial-key load counters) and content-dependent ones
-(fields hashing, unhashable keys).  A second set of tests pins the
-executor-side plan lifecycle: lazy compilation, the declared-but-
-unsubscribed empty plan, the undeclared-stream error, and invalidation
-when the cluster's membership epoch moves (elastic add/remove).
+``(source_task, stream)`` (:meth:`Grouping.compile_router`), the one
+implementation of each grouping.  The contract is that for any tuple
+sequence and any permutation of the consumer task list, the compiled
+router returns exactly the task ids the per-tuple oracle in
+:mod:`tests.storm.grouping_oracle` returns — including stateful strategies
+(shuffle cursors, dynamic deficit counters) and content-dependent ones
+(fields hashing, unhashable keys, equal-but-distinct keys).  A second set
+of tests pins the executor-side plan lifecycle: lazy compilation, the
+declared-but-unsubscribed empty plan, the undeclared-stream error, and
+one compilation per stream that survives membership changes.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,35 +21,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import Environment, Store
+from repro.storm import NodeSpec, SimulationBuilder, TopologyBuilder
 from repro.storm.acker import AckLedger
 from repro.storm.executor import BaseExecutor, Transport
 from repro.storm.grouping import (
-    AllGrouping,
-    DirectGrouping,
     DynamicGrouping,
     FieldsGrouping,
     GlobalGrouping,
-    Grouping,
-    LocalOrShuffleGrouping,
-    PartialKeyGrouping,
     ShuffleGrouping,
     SplitRatioControl,
 )
 from repro.storm.node import Node
 from repro.storm.topology import TopologyConfig
-from repro.storm.tuples import Tuple
 from repro.storm.worker import Worker
+from tests.storm.helpers import CounterSpout, PassBolt, SinkBolt
+from tests.storm.grouping_oracle import (
+    DynamicOracle,
+    FieldsOracle,
+    GlobalOracle,
+    ShuffleOracle,
+)
 
 # Unique task-id lists plus a permutation seed: every property runs the
-# compiled router against per-tuple dispatch on an arbitrary ordering of
-# the same task set.
+# compiled router against the oracle on an arbitrary ordering of the
+# same task set.
 _TASKS = st.lists(
     st.integers(min_value=0, max_value=60), min_size=1, max_size=7,
     unique=True,
 )
 _PERM_SEED = st.integers(min_value=0, max_value=2**31 - 1)
+# Mixed int/float/bool keys and signed zeros: values that compare equal
+# (1 == 1.0 == True, 0.0 == -0.0) but hash to different tasks.
 _KEYS = st.lists(
-    st.one_of(st.integers(min_value=-4, max_value=4), st.text(max_size=2)),
+    st.one_of(
+        st.integers(min_value=-4, max_value=4),
+        st.text(max_size=2),
+        st.booleans(),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.floats(min_value=-4, max_value=4, allow_nan=False),
+    ),
     max_size=30,
 )
 
@@ -58,33 +71,22 @@ def _permuted(tasks, seed):
     return [tasks[i] for i in rng.permutation(len(tasks))]
 
 
-def _assert_parity(reference: Grouping, compiled: Grouping, values_seq,
-                   fields=("k",)):
-    """Drive per-tuple dispatch and the compiled router side by side.
-
-    ``reference`` and ``compiled`` must be identically-initialised twin
-    instances (stateful strategies advance cursors/counters as they
-    route, so one instance cannot serve both sides).
-    """
-    router = compiled.compile_router(fields=fields, **_CTX)
+def _assert_parity(oracle, grouping, values_seq, fields=("k",)):
+    """Drive the oracle and the compiled router side by side."""
+    router = grouping.compile_router(fields=fields, **_CTX)
     for values in values_seq:
-        if reference.content_free:
-            expected = reference.choose(None)
-        else:
-            expected = reference.choose(
-                Tuple(values=values, stream="s", source_component="c",
-                      source_task=1, fields=fields)
-            )
-        assert router(values, None) == expected
+        assert router(values) == oracle.choose(values)
 
 
 @settings(max_examples=60, deadline=None)
 @given(tasks=_TASKS, seed=_PERM_SEED, keys=_KEYS)
 def test_shuffle_router_matches_choose(tasks, seed, keys):
     perm = _permuted(tasks, seed)
-    a = ShuffleGrouping(perm, np.random.default_rng(3))
-    b = ShuffleGrouping(perm, np.random.default_rng(3))
-    _assert_parity(a, b, [(k,) for k in keys])
+    _assert_parity(
+        ShuffleOracle(perm, np.random.default_rng(3)),
+        ShuffleGrouping(perm, np.random.default_rng(3)),
+        [(k,) for k in keys],
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,95 +94,61 @@ def test_shuffle_router_matches_choose(tasks, seed, keys):
 def test_fields_router_matches_choose_under_permutation(tasks, seed, keys):
     # Fields grouping is permutation-invariant by design (it sorts the
     # task list), so the compiled router over a *permuted* list must
-    # match per-tuple dispatch over the original ordering too.
-    a = FieldsGrouping(tasks, ["k"])
-    b = FieldsGrouping(_permuted(tasks, seed), ["k"])
-    _assert_parity(a, b, [(k,) for k in keys])
-
-
-@settings(max_examples=60, deadline=None)
-@given(tasks=_TASKS, seed=_PERM_SEED, keys=_KEYS)
-def test_partial_key_router_matches_choose(tasks, seed, keys):
-    perm = _permuted(tasks, seed)
-    a = PartialKeyGrouping(perm, ["k"])
-    b = PartialKeyGrouping(perm, ["k"])
-    _assert_parity(a, b, [(k,) for k in keys])
+    # match the oracle over the original ordering too.
+    _assert_parity(
+        FieldsOracle(tasks, ["k"], ("k",)),
+        FieldsGrouping(_permuted(tasks, seed), ["k"]),
+        [(k,) for k in keys],
+    )
 
 
 @settings(max_examples=40, deadline=None)
 @given(tasks=_TASKS, seed=_PERM_SEED, keys=_KEYS)
 def test_static_routers_match_choose(tasks, seed, keys):
     perm = _permuted(tasks, seed)
-    values_seq = [(k,) for k in keys]
-    _assert_parity(GlobalGrouping(perm), GlobalGrouping(perm), values_seq)
-    _assert_parity(AllGrouping(perm), AllGrouping(perm), values_seq)
-
-
-@settings(max_examples=40, deadline=None)
-@given(tasks=_TASKS, seed=_PERM_SEED, keys=_KEYS)
-def test_local_or_shuffle_router_matches_choose(tasks, seed, keys):
-    perm = _permuted(tasks, seed)
-    local = perm[: max(1, len(perm) // 2)]
-    a = LocalOrShuffleGrouping(perm, np.random.default_rng(5), local)
-    b = LocalOrShuffleGrouping(perm, np.random.default_rng(5), local)
-    _assert_parity(a, b, [(k,) for k in keys])
+    _assert_parity(GlobalOracle(perm), GlobalGrouping(perm), [(k,) for k in keys])
 
 
 @settings(max_examples=40, deadline=None)
 @given(tasks=_TASKS, seed=_PERM_SEED, keys=_KEYS)
 def test_dynamic_router_matches_choose(tasks, seed, keys):
-    # DynamicGrouping uses the base content-free fallback router; the
-    # deficit-counter state must advance identically on both sides.
     perm = _permuted(tasks, seed)
     rng = np.random.default_rng(seed)
-    ratios = rng.uniform(0.1, 1.0, size=len(perm))
-    a = DynamicGrouping(perm, SplitRatioControl(len(perm), ratios))
-    b = DynamicGrouping(perm, SplitRatioControl(len(perm), ratios))
-    _assert_parity(a, b, [(k,) for k in keys])
+    control = SplitRatioControl(len(perm), rng.uniform(0.1, 1.0, size=len(perm)))
+    _assert_parity(
+        DynamicOracle(perm, control),
+        DynamicGrouping(perm, control),
+        [(k,) for k in keys],
+    )
 
 
 def test_fields_router_handles_unhashable_keys():
     g = FieldsGrouping([3, 1, 2], ["k"])
     router = g.compile_router(fields=("k",), **_CTX)
-    values = ([1, 2],)  # list inside the key: not memoisable
-    expected = g.choose(Tuple(values=values, fields=("k",)))
-    assert router(values, None) == expected
-    assert router(values, None) == expected  # and again, no cache poison
+    values = ([1, 2],)  # list inside the key: memoised by its repr
+    expected = FieldsOracle([3, 1, 2], ["k"], ("k",)).choose(values)
+    assert router(values) == expected
+    assert router(values) == expected  # and again, no cache poison
 
 
-def test_partial_key_router_handles_unhashable_keys():
-    a = PartialKeyGrouping([3, 1, 2], ["k"])
-    b = PartialKeyGrouping([3, 1, 2], ["k"])
-    router = b.compile_router(fields=("k",), **_CTX)
-    for _ in range(4):
-        values = ([1],)
-        expected = a.choose(Tuple(values=values, fields=("k",)))
-        assert router(values, None) == expected
-
-
-def test_fields_router_missing_field_falls_back_to_probe_path():
-    g = FieldsGrouping([1, 2], ["missing"])
-    router = g.compile_router(fields=("k",), **_CTX)
-    with pytest.raises(KeyError, match="missing"):
-        router((5,), None)
-
-
-def test_direct_router_matches_choose_direct_and_errors():
-    g = DirectGrouping([4, 5])
-    router = g.compile_router(fields=(), **_CTX)
-    assert router((1,), 5) == g.choose_direct(5) == [5]
-    with pytest.raises(ValueError, match="requires emit"):
-        router((1,), None)
-    with pytest.raises(ValueError, match="not a consumer task"):
-        router((1,), 9)
+@pytest.mark.parametrize(
+    "keys", [[1, 1.0, True], [0.0, -0.0], [(1,), (1.0,), (True,)]]
+)
+def test_fields_router_separates_equal_but_distinct_keys(keys):
+    # Keys that compare equal but print differently hash to different
+    # tasks; a memo keyed on the key itself would route every one of
+    # them to wherever the first arrival went.
+    tasks = list(range(8))
+    oracle = FieldsOracle(tasks, ["k"], ("k",))
+    for order in (keys, keys[::-1]):
+        router = FieldsGrouping(tasks, ["k"]).compile_router(
+            fields=("k",), **_CTX
+        )
+        for key in order:
+            assert router((key,)) == oracle.choose((key,))
 
 
 # --- executor plan lifecycle ------------------------------------------------------
-
-
-class _FakeCluster:
-    def __init__(self):
-        self.membership_epoch = 0
 
 
 def _make_executor():
@@ -213,33 +181,34 @@ def test_plan_undeclared_stream_raises():
         ex.route_emission((1,), "nope", roots=())
 
 
-def test_plan_recompiles_when_membership_epoch_moves():
-    env, ex, transport = _make_executor()
-    cluster = _FakeCluster()
-    ex._cluster = cluster
-    ex.outbound["s"] = [("down", AllGrouping([11]))]
-    ex.route_emission((1,), "s", roots=())
-    assert set(ex._plans) == {"s"}
-    # Elastic rewire: consumer set changes and the epoch is bumped; the
-    # stale compiled table must not keep routing to the old target.
-    ex.outbound["s"] = [("down", AllGrouping([12]))]
-    cluster.membership_epoch += 1
-    ex.route_emission((1,), "s", roots=())
-    env.run(until=1.0)
-    assert transport.queues[11].level == 1
-    assert transport.queues[12].level == 1
+def test_plan_compiled_once_and_reused_across_epoch_bump(monkeypatch):
+    # Each executor compiles a stream's plan on first emission and never
+    # again: elastic add/remove moves executors, but task ids stay put.
+    compiles = Counter()
+    compile_plan = BaseExecutor._compile_plan
 
+    def counting(self, stream):
+        compiles[self.task_id, stream] += 1
+        return compile_plan(self, stream)
 
-def test_plan_stale_without_epoch_bump_is_reused():
-    # Control for the test above: same rewire, no epoch bump — the
-    # compiled plan is (correctly) reused, so invalidation really is
-    # epoch-driven rather than per-emission recompilation.
-    env, ex, transport = _make_executor()
-    ex._cluster = _FakeCluster()
-    ex.outbound["s"] = [("down", AllGrouping([11]))]
-    ex.route_emission((1,), "s", roots=())
-    ex.outbound["s"] = [("down", AllGrouping([12]))]
-    ex.route_emission((1,), "s", roots=())
-    env.run(until=1.0)
-    assert transport.queues[11].level == 2
-    assert transport.queues[12].level == 0
+    monkeypatch.setattr(BaseExecutor, "_compile_plan", counting)
+    b = TopologyBuilder()
+    b.set_spout("src", CounterSpout(rate=100.0))
+    b.set_bolt("mid", PassBolt(), parallelism=3).shuffle_grouping("src")
+    b.set_bolt("sink", SinkBolt(), parallelism=2).fields_grouping("mid", ["n"])
+    sim = (
+        SimulationBuilder(b.build("plans", TopologyConfig(num_workers=2)))
+        .nodes([NodeSpec(f"n{i}", cores=4, slots=2) for i in range(2)])
+        .seed(3)
+        .build()
+    )
+    sim.run(3.0)
+    compiled = dict(compiles)
+    assert set(compiled.values()) == {1} and len(compiled) == 4
+    epoch = sim.cluster.membership_epoch
+    sim.cluster.elastic.add_worker()
+    sim.run(2.0)
+    sim.cluster.elastic.remove_worker()
+    sim.run(3.0)
+    assert sim.cluster.membership_epoch == epoch + 2
+    assert dict(compiles) == compiled

@@ -151,11 +151,11 @@ def test_collector_buffers_and_drains():
     col = OutputCollector()
     t1 = Tuple(values=(1,))
     col.emit((1, 2), anchors=[t1])
-    col.emit((3,), stream="other", direct_task=7)
+    col.emit((3,), stream="other")
     col.ack(t1)
     emissions, acked, failed = col.drain()
-    assert emissions[0] == ((1, 2), "default", (t1,), None)
-    assert emissions[1] == ((3,), "other", (), 7)
+    assert emissions[0] == ((1, 2), "default", (t1,))
+    assert emissions[1] == ((3,), "other", ())
     assert acked == [t1]
     assert failed == []
     # Drain resets.
