@@ -30,6 +30,7 @@ import sys
 
 #: modules that must be exercised by the suite (per-module floor applies)
 REQUIRED_MODULES = (
+    "tracer.py",
     "spans.py",
     "attribution.py",
     "audit.py",

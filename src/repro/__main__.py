@@ -149,8 +149,7 @@ def _export_observability(args: argparse.Namespace, sim) -> None:
         from repro.obs import build_span_forest, render_folded
         tracer = sim.obs.tracer
         assert tracer is not None
-        events = tracer.events()
-        forest = build_span_forest(events)
+        forest = build_span_forest(tracer.records())
         if spans:
             from repro.obs import render_span_tree
             acked = forest.acked_trees()
@@ -170,6 +169,7 @@ def _export_observability(args: argparse.Namespace, sim) -> None:
             print(f"wrote {len(text.splitlines())} folded stacks to {folded}")
         if audit:
             from repro.obs import DecisionAudit
+            events = tracer.non_lifecycle_events()
             print()
             print(DecisionAudit.from_events(events).render_table())
     if getattr(args, "profile", False):

@@ -539,7 +539,7 @@ class ScenarioCampaign:
             from repro.obs.attribution import attribute_forest
             from repro.obs.spans import build_span_forest
 
-            forest = build_span_forest(sim.obs.tracer.events())
+            forest = build_span_forest(sim.obs.tracer.records())
             report.attribution = attribute_forest(forest).to_dict()
         return report
 

@@ -50,16 +50,18 @@ def build_report(
         # trace, so both sections are deterministic.  Publishing the
         # attribution gauges *before* the metrics section renders makes
         # the decomposition visible next to the raw latency histograms.
+        # The span builder reads the raw ring; only the few non-lifecycle
+        # records (control, fault, SLO) get TraceEvent views for the audit.
         from repro.obs.attribution import attribute_forest
         from repro.obs.audit import DecisionAudit
         from repro.obs.spans import build_span_forest
 
-        events = obs.tracer.events()
-        attribution = attribute_forest(build_span_forest(events))
+        forest = build_span_forest(obs.tracer.records())
+        attribution = attribute_forest(forest)
         report["attribution"] = attribution.to_dict()
         if obs.metrics is not None:
             attribution.publish(obs.metrics)
-        audit = DecisionAudit.from_events(events)
+        audit = DecisionAudit.from_events(obs.tracer.non_lifecycle_events())
         if audit.records or audit.samples or audit.skips:
             report["audit"] = audit.summary()
     if obs.metrics is not None:

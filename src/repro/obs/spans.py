@@ -72,8 +72,10 @@ from repro.obs.tracer import (
     TUPLE_REPLAY,
     TUPLE_SHED,
     TUPLE_TRANSFER,
-    TraceEvent,
+    lifecycle_record,
 )
+
+_HOP_KINDS = frozenset({TUPLE_TRANSFER, TUPLE_QUEUE, TUPLE_EXECUTE})
 
 __all__ = [
     "LatencyBreakdown",
@@ -86,7 +88,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanHop:
     """One edge of a tuple tree: transfer → queue wait → service."""
 
@@ -189,7 +191,7 @@ def path_terms(
         prev = done
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanTree:
     """One spout tuple's causal tree (a single delivery attempt)."""
 
@@ -310,7 +312,8 @@ class SpanForest:
         return None if first is None else exact_sum((tree.emit_time, -first))
 
     def acked_trees(self) -> List[SpanTree]:
-        """Acked trees in close order (trace record order)."""
+        """Acked trees in emission order (the order their roots first
+        appear in the trace), not close order."""
         return [t for t in self.trees.values() if t.acked]
 
     def __repr__(self) -> str:
@@ -321,11 +324,13 @@ class SpanForest:
         )
 
 
-def build_span_forest(events: Iterable[TraceEvent]) -> SpanForest:
+def build_span_forest(events: Iterable[Any]) -> SpanForest:
     """Reconstruct span trees from tuple-lifecycle events in record order.
 
-    Pass ``tracer.events()`` (or any subset that preserves record
-    order); non-tuple events are ignored.  Multi-root (joined) tuples
+    Pass ``tracer.records()`` (the raw ring), ``tracer.events()`` or any
+    subset that preserves record order; each event is read in the
+    :data:`~repro.obs.tracer.FIELDS` layout (:func:`lifecycle_record`)
+    and non-tuple events are ignored.  Multi-root (joined) tuples
     contribute one hop instance to each of their trees.
     """
     forest = SpanForest()
@@ -335,67 +340,16 @@ def build_span_forest(events: Iterable[TraceEvent]) -> SpanForest:
     # from that task at the same timestamp (see module docstring).
     last_exec: Dict[int, Tuple[int, float, Tuple[int, ...]]] = {}
     for ev in events:
-        kind = ev.kind
-        if not kind.startswith("tuple."):
-            continue
-        f = ev.fields
-        if kind == TUPLE_EMIT:
-            root = f["root"]
-            tree = trees.get(root)
-            if tree is None:
-                tree = SpanTree(root=root)
-                trees[root] = tree
-            msg_id = f.get("msg_id")
-            if isinstance(msg_id, list):  # a tuple id reloaded from JSONL
-                msg_id = tuple(msg_id)
-            tree.msg_id = msg_id
-            tree.spout_task = f.get("task")
-            tree.spout_component = f.get("component")
-            tree.emit_time = ev.time
-            tree.retries = int(f.get("retries", 0))
-            if tree.retries == 0 and msg_id is not None:
-                forest.first_emit.setdefault(msg_id, ev.time)
-        elif kind == TUPLE_TRANSFER:
-            src = f.get("src_task")
-            edge = f["edge"]
-            for root in f.get("roots") or ():
-                tree = trees.get(root)
-                if tree is None:
-                    forest.orphan_events += 1
-                    continue
-                hop = tree.hops.get(edge)
-                if hop is None:
-                    hop = SpanHop(edge=edge)
-                    tree.hops[edge] = hop
-                hop.src_task = src
-                hop.dst_task = f.get("dst_task")
-                hop.transfer_time = ev.time
-                le = last_exec.get(src)
-                if le is not None and le[1] == ev.time and root in le[2]:
-                    hop.parent = le[0]
-                elif (
-                    src == tree.spout_task and ev.time == tree.emit_time
-                ):
-                    hop.parent = 0
-        elif kind == TUPLE_QUEUE:
-            edge = f["edge"]
-            for root in f.get("roots") or ():
-                tree = trees.get(root)
-                if tree is None:
-                    forest.orphan_events += 1
-                    continue
-                hop = tree.hops.get(edge)
-                if hop is None:
-                    hop = SpanHop(edge=edge)
-                    tree.hops[edge] = hop
-                hop.dst_task = f.get("task")
-                hop.component = f.get("component")
-                hop.queue_time = ev.time
-                hop.wait = f.get("wait")
-        elif kind == TUPLE_EXECUTE:
-            edge = f["edge"]
-            roots = tuple(f.get("roots") or ())
-            task = f.get("task")
+        if type(ev) is not tuple or type(ev[2]) is dict:
+            ev = lifecycle_record(ev)
+            if ev is None:
+                continue
+        time, kind = ev[0], ev[1]
+        if kind in _HOP_KINDS:
+            # transfer: src, dst, ...; queue/execute: task, component, ...
+            _, _, first, second, edge, roots, last = ev
+            roots = roots or ()
+            le = last_exec.get(first)
             for root in roots:
                 tree = trees.get(root)
                 if tree is None:
@@ -403,25 +357,47 @@ def build_span_forest(events: Iterable[TraceEvent]) -> SpanForest:
                     continue
                 hop = tree.hops.get(edge)
                 if hop is None:
-                    hop = SpanHop(edge=edge)
-                    tree.hops[edge] = hop
-                hop.dst_task = task
-                hop.component = f.get("component")
-                hop.exec_time = ev.time
-                hop.service = f.get("service")
-            last_exec[task] = (edge, ev.time, roots)
-        elif kind in TUPLE_CLOSE_KINDS:
-            root = f["root"]
+                    hop = tree.hops[edge] = SpanHop(edge)
+                if kind == TUPLE_TRANSFER:
+                    hop.src_task, hop.dst_task = first, second
+                    hop.transfer_time = time
+                    if le is not None and le[1] == time and root in le[2]:
+                        hop.parent = le[0]
+                    elif first == tree.spout_task and time == tree.emit_time:
+                        hop.parent = 0
+                    continue
+                hop.dst_task, hop.component = first, second
+                if kind == TUPLE_QUEUE:
+                    hop.queue_time, hop.wait = time, last
+                else:
+                    hop.exec_time, hop.service = time, last
+            if kind == TUPLE_EXECUTE:
+                last_exec[first] = (edge, time, roots)
+        elif kind == TUPLE_EMIT:
+            _, _, root, msg_id, task, component, retries = ev
             tree = trees.get(root)
             if tree is None:
-                tree = SpanTree(root=root, msg_id=f.get("msg_id"))
-                trees[root] = tree
+                tree = trees[root] = SpanTree(root)
+            tree.msg_id = msg_id
+            tree.spout_task = task
+            tree.spout_component = component
+            tree.emit_time = time
+            tree.retries = int(retries or 0)
+            if tree.retries == 0 and msg_id is not None:
+                forest.first_emit.setdefault(msg_id, time)
+        elif kind in TUPLE_CLOSE_KINDS:
+            # the last field is the closing edge of an ack, a fail's reason
+            _, _, root, msg_id, _, latency, last = ev
+            tree = trees.get(root)
+            if tree is None:
+                tree = trees[root] = SpanTree(root, msg_id)
                 forest.orphan_events += 1
-            tree.close_kind = "ack" if kind == TUPLE_ACK else "fail"
-            tree.close_time = ev.time
-            tree.latency = f.get("latency")
-            tree.close_edge = f.get("edge")  # acks only
-            tree.fail_reason = f.get("reason")  # fails only
+            acked = kind == TUPLE_ACK
+            tree.close_kind = "ack" if acked else "fail"
+            tree.close_time = time
+            tree.latency = latency
+            tree.close_edge = last if acked else None
+            tree.fail_reason = None if acked else last
         elif kind == TUPLE_REPLAY:
             forest.replays += 1
         elif kind == TUPLE_DROP:
@@ -429,7 +405,7 @@ def build_span_forest(events: Iterable[TraceEvent]) -> SpanForest:
         elif kind == TUPLE_SHED:
             forest.sheds += 1
         elif kind == TUPLE_LOSS:
-            reason = f.get("reason", "loss")
+            reason = "loss" if ev[5] is None else ev[5]
             forest.losses[reason] = forest.losses.get(reason, 0) + 1
     return forest
 

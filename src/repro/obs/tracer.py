@@ -5,12 +5,18 @@ that is either a :class:`Tracer` or ``None``; the hot-path idiom is::
 
     tr = self.tracer
     if tr is not None:
-        tr.record(self.env.now, TUPLE_EXECUTE, task=self.task_id, ...)
+        tr.record(self.env.now, TUPLE_EXECUTE, self.task_id, ...)
 
 so a disabled tracer costs one attribute load and one identity check per
 potential event.  Events land in a bounded :class:`collections.deque`;
 once full, the oldest events are overwritten (``dropped`` counts them),
 which keeps long runs memory-bounded without branching in ``record``.
+
+A lifecycle (``tuple.*``) event is recorded positionally and stored as
+one exact, flat tuple ``(time, kind, *values)`` in the :data:`FIELDS`
+layout, which CPython's cyclic GC untracks at its first collection; other
+events pass keywords, stored as ``(time, kind, fields)``.  Both are read
+through :class:`TraceEvent` views.
 
 Event taxonomy (the ``kind`` strings below):
 
@@ -41,8 +47,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Any, Dict, Iterable, List, Optional
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 TUPLE_EMIT = "tuple.emit"
 TUPLE_TRANSFER = "tuple.transfer"
@@ -64,6 +70,20 @@ FAULT_REVERT = "fault.revert"
 #: Kinds that close a ``tuple.emit`` span (exactly one per completed root).
 TUPLE_CLOSE_KINDS = frozenset({TUPLE_ACK, TUPLE_FAIL})
 
+#: Field names of each lifecycle kind, in record (and JSONL key) order.
+FIELDS: Dict[str, Tuple[str, ...]] = {
+    TUPLE_EMIT: ("root", "msg_id", "task", "component", "retries"),
+    TUPLE_TRANSFER: ("src_task", "dst_task", "edge", "roots", "delay"),
+    TUPLE_QUEUE: ("task", "component", "edge", "roots", "wait"),
+    TUPLE_EXECUTE: ("task", "component", "edge", "roots", "service"),
+    TUPLE_ACK: ("root", "msg_id", "spout_task", "latency", "edge"),
+    TUPLE_FAIL: ("root", "msg_id", "spout_task", "latency", "reason"),
+    TUPLE_REPLAY: ("msg_id", "task", "retries"),
+    TUPLE_DROP: ("msg_id", "task", "retries"),
+    TUPLE_SHED: ("dst_task", "edge", "roots"),
+    TUPLE_LOSS: ("dst_task", "edge", "roots", "reason"),
+}
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -72,6 +92,14 @@ class TraceEvent:
     time: float
     kind: str
     fields: Dict[str, Any] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, record: tuple) -> "TraceEvent":
+        """The read view of one ring record, typed or keyword form."""
+        payload = record[2]
+        if type(payload) is not dict:
+            payload = dict(zip(FIELDS[record[1]], record[2:]))
+        return cls(record[0], record[1], payload)
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.fields.get(key, default)
@@ -96,20 +124,35 @@ class Tracer:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._buf: deque[TraceEvent] = deque(maxlen=capacity)
+        self._buf: deque[tuple] = deque(maxlen=capacity)
         self._total = 0
 
     # -- recording (the hot path) -------------------------------------------------
 
-    def record(self, time: float, kind: str, **fields: Any) -> None:
-        """Append one event.  Callers guard with ``if tracer is not None``."""
+    def record(
+        self, time: float, kind: str, *values: Any, **fields: Any
+    ) -> None:
+        """Append one event.  Callers guard with ``if tracer is not None``.
+
+        Positional ``values`` (in :data:`FIELDS` order, unchecked) store
+        ``(time, kind, *values)``; keywords store ``(time, kind, fields)``.
+        """
         self._total += 1
-        self._buf.append(TraceEvent(time, kind, fields))
+        rec = (time, kind) + values if values else (time, kind, fields)
+        self._buf.append(rec)
 
     # -- inspection ---------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._buf)
+
+    def records(self) -> List[tuple]:
+        """Retained records as stored, in record order (no views built)."""
+        return list(self._buf)
+
+    def non_lifecycle_events(self) -> List[TraceEvent]:
+        """Views of the retained records that are not ``tuple.*`` ones."""
+        return [TraceEvent.of(r) for r in self._buf if r[1] not in FIELDS]
 
     @property
     def total_recorded(self) -> int:
@@ -143,21 +186,22 @@ class Tracer:
                 f"inverted time window: t0={t0!r} > t1={t1!r}"
                 " (events() windows are [t0, t1))"
             )
+        view = TraceEvent.of
         if kind is None:
             if t0 is None and t1 is None:
-                return list(self._buf)
+                return list(map(view, self._buf))
             match = None
-        elif kind.endswith("*"):
-            prefix = kind[:-1]
+        elif kind.endswith(("*", ".")):
+            prefix = kind.rstrip("*")
             match = lambda k: k.startswith(prefix)  # noqa: E731
         else:
             match = lambda k: k == kind  # noqa: E731
         return [
-            e
-            for e in self._buf
-            if (match is None or match(e.kind))
-            and (t0 is None or e.time >= t0)
-            and (t1 is None or e.time < t1)
+            view(r)
+            for r in self._buf
+            if (match is None or match(r[1]))
+            and (t0 is None or r[0] >= t0)
+            and (t1 is None or r[0] < t1)
         ]
 
     def clear(self) -> None:
@@ -167,13 +211,33 @@ class Tracer:
 
     def kind_counts(self) -> Dict[str, int]:
         """Retained-event histogram by kind (for summaries and tests)."""
-        return dict(Counter(map(attrgetter("kind"), self._buf)))
+        return dict(Counter(map(itemgetter(1), self._buf)))
 
     def __repr__(self) -> str:
         return (
             f"<Tracer retained={len(self._buf)}/{self.capacity}"
             f" total={self._total}>"
         )
+
+
+def lifecycle_record(event: Any) -> Optional[tuple]:
+    """``event`` in the flat :data:`FIELDS` layout; ``None`` for other kinds.
+
+    Takes a ring record or a :class:`TraceEvent`; a dict payload gets
+    ``None`` for missing fields and tuples for JSON lists (reloaded ids).
+    """
+    if type(event) is tuple:
+        if type(event[2]) is not dict:
+            return event
+        time, kind, payload = event
+    else:
+        time, kind, payload = event.time, event.kind, event.fields
+    names = FIELDS.get(kind)
+    if names is None:
+        return None
+    return (time, kind, *(
+        tuple(v) if isinstance(v, list) else v for v in map(payload.get, names)
+    ))
 
 
 def group_tuple_spans(

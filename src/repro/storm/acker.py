@@ -173,9 +173,8 @@ class AckLedger:
                 self._m_latency.add(latency)
             if self.tracer is not None:
                 self.tracer.record(
-                    now, TUPLE_ACK, root=root_id,
-                    msg_id=msg_id, spout_task=spout_task,
-                    latency=latency, edge=edge_id,
+                    now, TUPLE_ACK, root_id, msg_id, spout_task, latency,
+                    edge_id,
                 )
             self.completions.append(
                 CompletionRecord(
@@ -220,9 +219,8 @@ class AckLedger:
                 )
         if self.tracer is not None:
             self.tracer.record(
-                self.env.now, TUPLE_FAIL, root=root_id,
-                msg_id=msg_id, spout_task=spout_task,
-                latency=self.env.now - start_time, reason=reason,
+                self.env.now, TUPLE_FAIL, root_id, msg_id, spout_task,
+                self.env.now - start_time, reason,
             )
         self.completions.append(
             CompletionRecord(

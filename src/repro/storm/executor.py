@@ -216,21 +216,16 @@ class Transport:
                     self.lost_loss_count += 1
                     if tr is not None:
                         tr.record(
-                            env.now, TUPLE_LOSS, dst_task=dst_task,
-                            edge=tup.edge_id, roots=tup.roots, reason="loss",
+                            env.now, TUPLE_LOSS, dst_task, tup.edge_id,
+                            tup.roots, "loss",
                         )
                     continue
             if inter_worker and self.extra_delay_mean > 0.0:
                 delay += float(self.rng.exponential(self.extra_delay_mean))
             if tr is not None:
                 tr.record(
-                    env.now,
-                    TUPLE_TRANSFER,
-                    src_task=tup.source_task,
-                    dst_task=dst_task,
-                    edge=tup.edge_id,
-                    roots=tup.roots,
-                    delay=delay,
+                    env.now, TUPLE_TRANSFER, tup.source_task, dst_task,
+                    tup.edge_id, tup.roots, delay,
                 )
             groups.setdefault(delay, []).append((dst_task, tup))
         for delay, batch in groups.items():  # insertion = first-send order
@@ -276,8 +271,8 @@ class Transport:
                 self.lost_crash_count += 1
                 if tr is not None:
                     tr.record(
-                        env.now, TUPLE_LOSS, dst_task=dst_task,
-                        edge=tup.edge_id, roots=tup.roots, reason="crash",
+                        env.now, TUPLE_LOSS, dst_task, tup.edge_id,
+                        tup.roots, "crash",
                     )
                 continue
             queue = self.queues[dst_task]
@@ -288,8 +283,7 @@ class Transport:
                 self.dropped_count += 1
                 if tr is not None:
                     tr.record(
-                        env.now, TUPLE_SHED, dst_task=dst_task,
-                        edge=tup.edge_id, roots=tup.roots,
+                        env.now, TUPLE_SHED, dst_task, tup.edge_id, tup.roots
                     )
                 if self.ledger is not None:
                     for root in tup.roots:
@@ -537,15 +531,15 @@ class SpoutExecutor(BaseExecutor):
             self.replayed_count += 1
             if tr is not None:
                 tr.record(
-                    self.env.now, TUPLE_REPLAY, msg_id=msg_id,
-                    task=self.task_id, retries=rec.retries,
+                    self.env.now, TUPLE_REPLAY, msg_id, self.task_id,
+                    rec.retries,
                 )
         else:
             self.dropped_count += 1
             if tr is not None:
                 tr.record(
-                    self.env.now, TUPLE_DROP, msg_id=msg_id,
-                    task=self.task_id, retries=rec.retries,
+                    self.env.now, TUPLE_DROP, msg_id, self.task_id,
+                    rec.retries,
                 )
         self._signal()
 
@@ -641,9 +635,8 @@ class SpoutExecutor(BaseExecutor):
             self.pending[rec.msg_id] = rec
             if tr is not None:
                 tr.record(
-                    self.env.now, TUPLE_EMIT, root=root, msg_id=rec.msg_id,
-                    task=self.task_id, component=self.component_id,
-                    retries=rec.retries,
+                    self.env.now, TUPLE_EMIT, root, rec.msg_id,
+                    self.task_id, self.component_id, rec.retries,
                 )
             edges = self.route_emission(rec.values, rec.stream, roots=(root,))
             if not edges:
@@ -749,9 +742,8 @@ class BoltExecutor(BaseExecutor):
         tr = self.tracer
         if tr is not None and not is_tick:
             tr.record(
-                self.env.now, TUPLE_QUEUE, task=self.task_id,
-                component=self.component_id, edge=tup.edge_id,
-                roots=tup.roots, wait=wait,
+                self.env.now, TUPLE_QUEUE, self.task_id,
+                self.component_id, tup.edge_id, tup.roots, wait,
             )
         nominal = 0.2e-3 if is_tick else self.bolt.cpu_cost(tup)
         node = self.worker.node
@@ -774,9 +766,8 @@ class BoltExecutor(BaseExecutor):
         tr = self.tracer
         if tr is not None and not is_tick:
             tr.record(
-                self.env.now, TUPLE_EXECUTE, task=self.task_id,
-                component=self.component_id, edge=tup.edge_id,
-                roots=tup.roots, service=service,
+                self.env.now, TUPLE_EXECUTE, self.task_id,
+                self.component_id, tup.edge_id, tup.roots, service,
             )
         if is_tick:
             self.bolt.tick(self.env.now, self.collector)

@@ -1,5 +1,7 @@
 """Unit tests for the structured event tracer."""
 
+import gc
+
 import pytest
 
 from repro.obs import (
@@ -11,6 +13,8 @@ from repro.obs import (
     TUPLE_TRANSFER,
     group_tuple_spans,
 )
+from repro.obs.tracer import FIELDS
+from tests.obs.test_spans import all_kinds_sim
 
 
 def test_record_and_read_back():
@@ -32,6 +36,15 @@ def test_kind_filter_and_prefix_filter():
     assert len(tr.events(TUPLE_EMIT)) == 1
     assert len(tr.events("tuple.*")) == 2
     assert len(tr.events("control.*")) == 1
+
+
+def test_prefix_filter_accepts_dot_and_star_suffixes():
+    tr = Tracer()
+    tr.record(0.0, TUPLE_EMIT, root=1)
+    tr.record(1.0, "control.decision", flagged=[])
+    assert tr.events("tuple.") == tr.events("tuple.*") == tr.events()[:1]
+    assert len(tr.events("control.")) == 1
+    assert tr.events("tuple") == []  # no suffix: an exact kind
 
 
 def test_ring_buffer_drops_oldest_and_counts():
@@ -136,3 +149,43 @@ def test_events_rejects_inverted_window():
     # an equal-bounds window is valid (and empty: [t0, t1) is half-open)
     assert tr.events(t0=1.0, t1=1.0) == []
     assert len(tr.events(t0=1.0, t1=2.0)) == 1
+
+
+@pytest.fixture(scope="module")
+def lifecycle_records():
+    sim = all_kinds_sim()
+    sim.run(duration=10)
+    tracer = sim.obs.tracer
+    assert tracer.dropped == 0
+    return tracer, [r for r in tracer.records() if r[1] in FIELDS]
+
+
+def test_every_lifecycle_record_is_flat_and_laid_out_by_fields(
+    lifecycle_records,
+):
+    tracer, records = lifecycle_records
+    assert {r[1] for r in records} == set(FIELDS)  # all ten kinds ran
+    for r in records:
+        assert type(r) is tuple and len(r) == 2 + len(FIELDS[r[1]])
+    for e in tracer.events("tuple."):
+        assert tuple(e.fields) == FIELDS[e.kind]
+    reasons = {r[-1] for r in records if r[1] == "tuple.loss"}
+    assert reasons == {"loss", "crash"}
+
+
+def test_lifecycle_records_leave_the_cyclic_gc(lifecycle_records):
+    _, records = lifecycle_records
+    gc.collect()
+    assert not any(gc.is_tracked(r) for r in records)
+
+
+def test_positional_and_keyword_records_read_back_alike():
+    typed, keyword = Tracer(), Tracer()
+    values = dict(root=3, msg_id=(0, 3), task=1, component="src", retries=0)
+    typed.record(1.0, TUPLE_EMIT, *values.values())
+    keyword.record(1.0, TUPLE_EMIT, **values)
+    assert typed.records() == [(1.0, TUPLE_EMIT, 3, (0, 3), 1, "src", 0)]
+    assert keyword.records() == [(1.0, TUPLE_EMIT, values)]
+    assert typed.events() == keyword.events()
+    assert repr(typed.events()[0]) == repr(keyword.events()[0])
+    assert typed.kind_counts() == keyword.kind_counts() == {TUPLE_EMIT: 1}
