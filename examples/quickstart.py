@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import ControllerConfig, PerformancePredictor
+from repro.core import ControllerConfig, PerformancePredictor, PredictiveController
 from repro.storm import (
     Bolt,
     Emission,
@@ -93,10 +93,10 @@ def main() -> None:
         .faults(fault)
         # Reactive predictor for the quickstart (no training run needed);
         # see examples/url_count_reliability.py for the DRNN version.
-        .controller(
+        .controller(PredictiveController(
             PerformancePredictor(None, window=4),
             ControllerConfig(control_interval=5.0, window=4),
-        )
+        ))
         .build()
     )
     controller = sim.controller

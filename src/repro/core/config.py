@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -43,17 +44,25 @@ class ControllerConfig:
     misbehaving_penalty: float = 0.05
 
     def validate(self) -> None:
-        if self.control_interval <= 0:
-            raise ValueError("control_interval must be positive")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.threshold_factor <= 1.0:
-            raise ValueError("threshold_factor must exceed 1")
-        if not 0.0 < self.smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-        if not 0.0 <= self.min_ratio < 0.5:
-            raise ValueError("min_ratio must be in [0, 0.5)")
-        if self.hysteresis_up < 1 or self.hysteresis_down < 1:
-            raise ValueError("hysteresis counts must be >= 1")
-        if not 0.0 < self.misbehaving_penalty <= 1.0:
-            raise ValueError("misbehaving_penalty must be in (0, 1]")
+        # Each rule is written as the valid range, so NaN (which compares
+        # False against everything) fails it too, and ``inf`` as the open
+        # upper end rejects infinities: a NaN threshold would otherwise
+        # compare False everywhere and silently disable detection.
+        inf = math.inf
+        for name, ok, rule in (
+            ("control_interval", 0 < self.control_interval < inf, "finite and > 0"),
+            ("window", 1 <= self.window < inf, "finite and >= 1"),
+            ("threshold_factor", 1 < self.threshold_factor < inf, "finite and > 1"),
+            ("latency_floor", 0 <= self.latency_floor < inf, "finite and >= 0"),
+            ("backlog_factor", 0 <= self.backlog_factor < inf, "finite and >= 0"),
+            ("backlog_floor", 0 <= self.backlog_floor < inf, "finite and >= 0"),
+            ("hysteresis_up", 1 <= self.hysteresis_up < inf, "finite and >= 1"),
+            ("hysteresis_down", 1 <= self.hysteresis_down < inf, "finite and >= 1"),
+            ("min_ratio", 0 <= self.min_ratio < 0.5, "in [0, 0.5)"),
+            ("smoothing", 0 < self.smoothing <= 1, "in (0, 1]"),
+            ("misbehaving_penalty", 0 < self.misbehaving_penalty <= 1, "in (0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}"
+                )

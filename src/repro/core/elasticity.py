@@ -2,9 +2,11 @@
 
 The paper's predictive controller re-splits dynamic-grouping ratios
 across a fixed worker pool.  This module adds the two actuator policies
-that close the remaining loops, both attachable to a simulation exactly
-like :class:`~repro.core.controller.PredictiveController` (they expose
-the same ``_bind(sim)`` hook and run as their own DES processes):
+that close the remaining loops.  Both run on the same loop as
+:class:`~repro.core.controller.PredictiveController` — a
+:class:`~repro.core.controller.ControlLoop`, attached once through
+``sim.attach`` or ``SimulationBuilder.controller`` and stepped by its
+own DES process — and each acts on the newest metrics snapshot:
 
 * :class:`AutoscaleController` — watches topology complete latency and
   per-worker backlog from the metrics snapshots and scales the pool
@@ -25,11 +27,13 @@ with them attached stay byte-replayable from the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.core.controller import ControlLoop
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.storm.metrics import MultilevelSnapshot
     from repro.storm.runner import StormSimulation
 
 
@@ -65,20 +69,35 @@ class AutoscalePolicy:
     scale_in_added_only: bool = True
 
     def validate(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        if self.latency_slo <= 0:
-            raise ValueError("latency_slo must be positive")
-        if not 0 <= self.backlog_low < self.backlog_high:
-            raise ValueError("need 0 <= backlog_low < backlog_high")
-        if self.consecutive < 1:
-            raise ValueError("consecutive must be >= 1")
-        if self.relief_consecutive < 1:
-            raise ValueError("relief_consecutive must be >= 1")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
-        if not 1 <= self.min_workers <= self.max_workers:
-            raise ValueError("need 1 <= min_workers <= max_workers")
+        # valid ranges, so NaN fails them too (see ControllerConfig)
+        inf = math.inf
+        for name, ok, rule in (
+            ("interval", 0 < self.interval < inf, "finite and > 0"),
+            ("latency_slo", 0 < self.latency_slo < inf, "finite and > 0"),
+            ("backlog_high", 0 < self.backlog_high < inf, "finite and > 0"),
+            (
+                "backlog_low",
+                0 <= self.backlog_low < self.backlog_high,
+                "in [0, backlog_high)",
+            ),
+            ("consecutive", 1 <= self.consecutive < inf, "finite and >= 1"),
+            (
+                "relief_consecutive",
+                1 <= self.relief_consecutive < inf,
+                "finite and >= 1",
+            ),
+            ("cooldown", 0 <= self.cooldown < inf, "finite and >= 0"),
+            ("max_workers", 1 <= self.max_workers < inf, "finite and >= 1"),
+            (
+                "min_workers",
+                1 <= self.min_workers <= self.max_workers,
+                "in [1, max_workers]",
+            ),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}"
+                )
 
 
 @dataclass
@@ -93,61 +112,31 @@ class ScaleEvent:
     backlog_per_worker: float
 
 
-class AutoscaleController:
+class AutoscaleController(ControlLoop):
     """Backlog/SLO-driven elastic scaling of the worker pool."""
+
+    name = "autoscale-controller"
 
     def __init__(self, policy: Optional[AutoscalePolicy] = None) -> None:
         self.policy = policy or AutoscalePolicy()
         self.policy.validate()
-        self.sim: Optional["StormSimulation"] = None
+        super().__init__(self.policy.interval)
         self.log: List[ScaleEvent] = []
         self._initial_ids: frozenset = frozenset()
         self._pressure_streak = 0
         self._relief_streak = 0
         self._last_action = -float("inf")
-        self._seen_snapshots = 0
 
-    # -- attachment ---------------------------------------------------------------
-
-    @property
-    def attached(self) -> bool:
-        return self.sim is not None
-
-    def _bind(self, sim: "StormSimulation") -> None:
-        if self.sim is not None:
-            raise RuntimeError(
-                "this controller is already attached to a simulation; "
-                "construct a fresh controller per run"
-            )
-        self.sim = sim
+    def _attach(self, sim: "StormSimulation") -> None:
         self._initial_ids = frozenset(
             w.worker_id for w in sim.cluster.workers
         )
-        sim.env.process(self._loop(), name="autoscale-controller")
-
-    # -- the loop -----------------------------------------------------------------
-
-    def _loop(self):
-        assert self.sim is not None
-        env = self.sim.env
-        while True:
-            yield env.timeout(self.policy.interval)
-            self._step()
-
-    def _latest_signal(self) -> Optional["MultilevelSnapshot"]:
-        """Newest unconsumed metrics snapshot, or None if nothing new."""
-        assert self.sim is not None
-        snapshots = self.sim.metrics.snapshots
-        if len(snapshots) == self._seen_snapshots:
-            return None
-        self._seen_snapshots = len(snapshots)
-        return snapshots[-1]
 
     def _step(self) -> None:
-        assert self.sim is not None
-        snap = self._latest_signal()
-        if snap is None:
+        new = self._new_snapshots()
+        if not new:
             return
+        snap = new[-1]
         policy = self.policy
         cluster = self.sim.cluster
         now = self.sim.env.now
@@ -195,7 +184,6 @@ class AutoscaleController:
         latency: float,
         backlog: float,
     ) -> None:
-        assert self.sim is not None
         self._last_action = now
         self._pressure_streak = 0
         self._relief_streak = 0
@@ -208,12 +196,6 @@ class AutoscaleController:
                 latency=latency,
                 backlog_per_worker=backlog,
             )
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"<AutoscaleController attached={self.attached}"
-            f" events={len(self.log)}>"
         )
 
 
@@ -232,16 +214,18 @@ class RateControlConfig:
     min_rate: float = 0.1
 
     def validate(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        if self.in_flight_high <= 0:
-            raise ValueError("in_flight_high must be positive")
-        if not 0.0 < self.decrease < 1.0:
-            raise ValueError("decrease must be in (0, 1)")
-        if self.increase <= 0:
-            raise ValueError("increase must be positive")
-        if not 0.0 < self.min_rate <= 1.0:
-            raise ValueError("min_rate must be in (0, 1]")
+        inf = math.inf
+        for name, ok, rule in (
+            ("interval", 0 < self.interval < inf, "finite and > 0"),
+            ("in_flight_high", 0 < self.in_flight_high < inf, "finite and > 0"),
+            ("decrease", 0 < self.decrease < 1, "in (0, 1)"),
+            ("increase", 0 < self.increase < inf, "finite and > 0"),
+            ("min_rate", 0 < self.min_rate <= 1, "in (0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}"
+                )
 
 
 @dataclass
@@ -253,44 +237,23 @@ class RateEvent:
     in_flight: int
 
 
-class SpoutRateController:
+class SpoutRateController(ControlLoop):
     """AIMD spout admission control against the in-flight ceiling."""
+
+    name = "spout-rate-controller"
 
     def __init__(self, config: Optional[RateControlConfig] = None) -> None:
         self.config = config or RateControlConfig()
         self.config.validate()
-        self.sim: Optional["StormSimulation"] = None
+        super().__init__(self.config.interval)
         self.rate = 1.0
         self.log: List[RateEvent] = []
-        self._seen_snapshots = 0
-
-    @property
-    def attached(self) -> bool:
-        return self.sim is not None
-
-    def _bind(self, sim: "StormSimulation") -> None:
-        if self.sim is not None:
-            raise RuntimeError(
-                "this controller is already attached to a simulation; "
-                "construct a fresh controller per run"
-            )
-        self.sim = sim
-        sim.env.process(self._loop(), name="spout-rate-controller")
-
-    def _loop(self):
-        assert self.sim is not None
-        env = self.sim.env
-        while True:
-            yield env.timeout(self.config.interval)
-            self._step()
 
     def _step(self) -> None:
-        assert self.sim is not None
-        snapshots = self.sim.metrics.snapshots
-        if len(snapshots) == self._seen_snapshots:
+        new = self._new_snapshots()
+        if not new:
             return
-        self._seen_snapshots = len(snapshots)
-        snap = snapshots[-1]
+        snap = new[-1]
         cfg = self.config
         in_flight = snap.topology.in_flight
         if in_flight > cfg.in_flight_high:
@@ -305,10 +268,4 @@ class SpoutRateController:
             RateEvent(
                 time=self.sim.env.now, rate=new_rate, in_flight=in_flight
             )
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"<SpoutRateController attached={self.attached}"
-            f" rate={self.rate:.3f} events={len(self.log)}>"
         )

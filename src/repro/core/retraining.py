@@ -11,9 +11,13 @@ drift instead of trusting a one-shot pre-fitted model.
 Determinism contract
 --------------------
 Retraining runs as a DES process registered by
-:meth:`PredictiveController._bind` *after* the control loop, so at ticks
-where both fire the controller predicts with the model from the previous
-refit, then the refit runs — the same order every run.  Each refit
+:meth:`PredictiveController._bind` right after the control loop.  At a
+tick where both fire, the refit's timeout was scheduled at the previous
+refit and the control step's at the previous step, so (with
+``retrain_interval`` longer than the control interval) the refit runs
+first: it trains on the snapshots the controller ingested up to its
+previous step, and the step at that tick predicts with the new model —
+the same order every run.  Each refit
 builds a **fresh** model from the factory with a fixed seed and fresh
 scalers, so the fitted weights depend only on the monitor contents at
 the refit tick, never on how many refits happened before or on any
@@ -39,9 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class OnlineModelFactory:
     """Picklable recipe for the model built at every refit.
 
-    A frozen dataclass (like the controller factories in
-    :mod:`repro.experiments.reliability`) so campaign cache keys can use
-    its ``repr`` and worker processes can unpickle it.  Builds a small
+    A frozen dataclass so campaign cache keys can use its ``repr`` and
+    worker processes can unpickle it.  Builds a small
     DRNN; GRU by default — at online-retraining cadence the cheaper cell
     matters more than the LSTM's extra gate.
     """

@@ -35,12 +35,19 @@ campaigns.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.apps import RateProfile, build_url_count_topology
+from repro.core.elasticity import (
+    AutoscaleController,
+    AutoscalePolicy,
+    RateControlConfig,
+    SpoutRateController,
+)
 from repro.storm import SimulationBuilder, TopologyConfig
 from repro.storm.chaos import _round, derive_run_seed
 from repro.storm.cluster import NodeSpec
@@ -49,8 +56,6 @@ from repro.storm.runner import DEFAULT_NODES
 __all__ = [
     "ARMS",
     "SCENARIOS",
-    "AutoscaleArmFactory",
-    "RateControlArmFactory",
     "ScenarioCampaign",
     "ScenarioReport",
     "ScenarioRunReport",
@@ -207,64 +212,6 @@ class ScenarioTopologyFactory:
         )
 
 
-@dataclass(frozen=True)
-class AutoscaleArmFactory:
-    """Picklable autoscaling-arm controller factory for one scenario."""
-
-    latency_slo: float
-    max_workers: int
-    min_workers: int = 1
-    interval: float = 5.0
-    backlog_high: float = 50.0
-    backlog_low: float = 5.0
-    #: scenario arms react on the first breached interval: the workload
-    #: shapes here ramp fast, and a 10 s cooldown already bounds flap
-    consecutive: int = 1
-    relief_consecutive: int = 4
-    cooldown: float = 10.0
-
-    def __call__(self):
-        from repro.core.elasticity import AutoscaleController, AutoscalePolicy
-
-        return AutoscaleController(
-            AutoscalePolicy(
-                interval=self.interval,
-                latency_slo=self.latency_slo,
-                backlog_high=self.backlog_high,
-                backlog_low=self.backlog_low,
-                consecutive=self.consecutive,
-                relief_consecutive=self.relief_consecutive,
-                cooldown=self.cooldown,
-                min_workers=self.min_workers,
-                max_workers=self.max_workers,
-            )
-        )
-
-
-@dataclass(frozen=True)
-class RateControlArmFactory:
-    """Picklable admission-control-arm factory for one scenario."""
-
-    interval: float = 5.0
-    in_flight_high: float = 200.0
-    decrease: float = 0.5
-    increase: float = 0.1
-    min_rate: float = 0.1
-
-    def __call__(self):
-        from repro.core.elasticity import RateControlConfig, SpoutRateController
-
-        return SpoutRateController(
-            RateControlConfig(
-                interval=self.interval,
-                in_flight_high=self.in_flight_high,
-                decrease=self.decrease,
-                increase=self.increase,
-                min_rate=self.min_rate,
-            )
-        )
-
-
 #: Arm order is report order (and the paired-comparison baseline is
 #: whichever arm comes first in the caller's selection).
 ARMS: Tuple[str, ...] = ("fixed", "autoscale", "rate_control")
@@ -388,7 +335,6 @@ def _run_report(
     result,
     controller,
 ) -> ScenarioRunReport:
-    from repro.core.elasticity import AutoscaleController, SpoutRateController
     from repro.storm.executor import SpoutExecutor
 
     lats = [
@@ -498,17 +444,26 @@ class ScenarioCampaign:
         self.last_shard_stats = None
 
     def _controller_factory(self, arm: str):
+        """Picklable per-run controller recipe of ``arm`` (None: fixed)."""
         spec = self.scenario
         if arm == "fixed":
             return None
         if arm == "autoscale":
-            return AutoscaleArmFactory(
-                latency_slo=spec.latency_slo,
-                max_workers=spec.max_workers,
-                min_workers=spec.num_workers,
+            # scenario arms react on the first breached interval: the
+            # workload shapes here ramp fast, and a 10 s cooldown already
+            # bounds flap
+            return functools.partial(
+                AutoscaleController,
+                AutoscalePolicy(
+                    latency_slo=spec.latency_slo,
+                    consecutive=1,
+                    cooldown=10.0,
+                    min_workers=spec.num_workers,
+                    max_workers=spec.max_workers,
+                ),
             )
         if arm == "rate_control":
-            return RateControlArmFactory()
+            return functools.partial(SpoutRateController, RateControlConfig())
         raise ValueError(f"unknown arm {arm!r}")
 
     def run_one(self, arm: str, run_index: int) -> ScenarioRunReport:

@@ -11,8 +11,9 @@ side-effectful "construct the controller with a sim reference" wiring::
            .seed(7)
            .faults(SlowdownFault(start=60, duration=90, worker_id=1,
                                  factor=20))
-           .controller(PerformancePredictor(None, window=4),
-                       ControllerConfig(control_interval=5.0, window=4))
+           .controller(PredictiveController(
+               PerformancePredictor(None, window=4),
+               ControllerConfig(control_interval=5.0, window=4)))
            .observability(trace=True, profile=True)
            .build())
     result = sim.run(duration=210)
@@ -40,9 +41,7 @@ from repro.storm.runner import (
 from repro.storm.topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.config import ControllerConfig
-    from repro.core.controller import PredictiveController
-    from repro.core.predictor import PerformancePredictor
+    from repro.core.controller import ControlLoop
     from repro.obs.slo import SLOPolicy, SLORule
     from repro.storm.chaos import ChaosSpec
 
@@ -56,7 +55,7 @@ class SimulationBuilder:
         self._seed = 0
         self._metrics_interval = 1.0
         self._faults: List[Fault] = []
-        self._controllers: List[object] = []  # controllers or spec tuples
+        self._controllers: List["ControlLoop"] = []
         self._observability: Optional[ObservabilityConfig] = None
         self._chaos: Optional[Tuple["ChaosSpec", Optional[int], float]] = None
         self._slo: Optional["SLOPolicy"] = None
@@ -127,40 +126,25 @@ class SimulationBuilder:
 
     # -- controller --------------------------------------------------------------
 
-    def controller(
-        self,
-        predictor: Union["PerformancePredictor", "PredictiveController"],
-        config: Optional["ControllerConfig"] = None,
-        edges: Optional[Sequence[Tuple[str, str, str]]] = None,
-        online_fit_after: Optional[int] = None,
-    ) -> "SimulationBuilder":
-        """Attach the predictive control loop to the built simulation.
+    def controller(self, ctrl: "ControlLoop") -> "SimulationBuilder":
+        """Attach a detached controller to the built simulation.
 
-        Pass either a ready (detached) controller — anything with a
-        ``_bind(sim)`` hook: a :class:`PredictiveController`, an
-        :class:`~repro.core.elasticity.AutoscaleController`, a
-        :class:`~repro.core.elasticity.SpoutRateController` — or a
-        :class:`PerformancePredictor` plus its loop options and the
-        builder constructs the predictive controller at ``build()``
-        time.
-
-        A :class:`~repro.core.retraining.RetrainingPredictor` selects
-        the online-retraining mode: attaching its controller also
-        registers the periodic in-sim refit process (see
-        :mod:`repro.core.retraining` for the determinism contract).
+        ``ctrl`` is any :class:`~repro.core.controller.ControlLoop`: a
+        :class:`~repro.core.controller.PredictiveController` (whose
+        :class:`~repro.core.retraining.RetrainingPredictor`, if it has
+        one, also gets its periodic in-sim refit process), an
+        :class:`~repro.core.elasticity.AutoscaleController` or a
+        :class:`~repro.core.elasticity.SpoutRateController`.  Call it
+        once per controller; each binds at ``build()`` time.
         """
-        if hasattr(predictor, "_bind"):
-            if config is not None or edges is not None \
-                    or online_fit_after is not None:
-                raise TypeError(
-                    "pass loop options when giving a predictor, not an "
-                    "already-constructed controller"
-                )
-            self._controllers.append(predictor)
-        else:
-            self._controllers.append(
-                (predictor, config, edges, online_fit_after)
+        from repro.core.controller import ControlLoop
+
+        if not isinstance(ctrl, ControlLoop):
+            raise TypeError(
+                f"expected a controller (a ControlLoop), got {ctrl!r}; "
+                "wrap a predictor as PredictiveController(predictor, config)"
             )
+        self._controllers.append(ctrl)
         return self
 
     # -- observability ------------------------------------------------------------
@@ -263,22 +247,8 @@ class SimulationBuilder:
             faults=tuple(faults),
             observability=observability,
         )
-        if self._controllers:
-            from repro.core.controller import PredictiveController
-
-            for spec in self._controllers:
-                if isinstance(spec, tuple):
-                    predictor, config, edges, online_fit_after = spec
-                    sim.attach(
-                        PredictiveController(
-                            predictor,
-                            config=config,
-                            edges=edges,
-                            online_fit_after=online_fit_after,
-                        )
-                    )
-                else:
-                    sim.attach(spec)
+        for ctrl in self._controllers:
+            sim.attach(ctrl)
         self._built = sim
         return sim
 

@@ -8,15 +8,16 @@ SimulationBuilder`::
            .seed(7)
            .faults(SlowdownFault(start=60, duration=120, worker_id=1,
                                  factor=8))
-           .controller(PerformancePredictor(None, window=4))
+           .controller(PredictiveController(
+               PerformancePredictor(None, window=4)))
            .observability(trace=True)
            .build())
     result = sim.run(duration=300)
     print(result.mean_throughput(), result.latency_percentile(0.99))
 
-Controllers attach explicitly (``sim.attach(controller)`` or the
-builder's ``.controller(...)``) and must attach *before* the first
-:meth:`StormSimulation.run`.
+Controllers attach explicitly, as built controllers
+(``sim.attach(controller)`` or the builder's ``.controller(controller)``),
+and must attach *before* the first :meth:`StormSimulation.run`.
 
 The :class:`StormSimulation` constructor is retained as a thin
 compatibility shim over the same wiring; new code should build through
@@ -57,7 +58,7 @@ from repro.storm.metrics import MetricsCollector, MultilevelSnapshot
 from repro.storm.topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.controller import PredictiveController
+    from repro.core.controller import ControlLoop
 
 
 #: Default cluster shape used by the experiments: 4 nodes, 2 slots each —
@@ -316,7 +317,7 @@ class StormSimulation:
             slo=self.slo,
         )
         self.topology = topology
-        self.controllers: List["PredictiveController"] = []
+        self.controllers: List["ControlLoop"] = []
         self._started = False
         # per-segment baselines for repeated run() calls
         self._completions_seen = 0
@@ -387,11 +388,11 @@ class StormSimulation:
         return self._started
 
     @property
-    def controller(self) -> Optional["PredictiveController"]:
+    def controller(self) -> Optional["ControlLoop"]:
         """The first attached controller, or ``None``."""
         return self.controllers[0] if self.controllers else None
 
-    def attach(self, controller: "PredictiveController") -> "StormSimulation":
+    def attach(self, controller: "ControlLoop") -> "StormSimulation":
         """Attach a (detached) controller to this simulation.
 
         Must happen before the first :meth:`run` — the controller needs

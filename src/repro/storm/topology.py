@@ -64,31 +64,34 @@ class TopologyConfig:
                 f"overflow_policy must be 'buffer' or 'shed', "
                 f"got {self.overflow_policy!r}"
             )
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if self.message_timeout <= 0:
-            raise ValueError("message_timeout must be positive")
-        if self.max_spout_pending < 1:
-            raise ValueError("max_spout_pending must be >= 1")
-        if self.executor_queue_capacity < 1:
-            raise ValueError("executor_queue_capacity must be >= 1")
-        if self.max_replays < 0:
-            raise ValueError("max_replays must be >= 0")
-        # ``not x >= 0`` also catches NaN; these values end up as event
-        # delays or service-time factors, where a bad one would otherwise
-        # fail (or silently skew the run) in the middle of a simulation.
-        for name in (
-            "service_noise_sigma",
-            "inter_node_latency",
-            "intra_node_latency",
-            "intra_worker_latency",
-            "tick_interval",
+        # Each rule is written as the valid range, so NaN (which compares
+        # False against everything) fails it too, and ``inf`` as the open
+        # upper end rejects infinities.  These values end up as counts,
+        # event delays or service-time factors, where a bad one would
+        # otherwise fail (or silently skew the run) in the middle of a
+        # simulation.
+        for name, least in (
+            ("num_workers", 1),
+            ("max_spout_pending", 1),
+            ("executor_queue_capacity", 1),
+            ("max_replays", 0),
+            ("tick_interval", 0),
+            ("inter_node_latency", 0),
+            ("intra_node_latency", 0),
+            ("intra_worker_latency", 0),
+            ("service_noise_sigma", 0),
         ):
             value = getattr(self, name)
-            if not value >= 0 or math.isinf(value):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not self.ack_sweep_interval > 0:
-            raise ValueError("ack_sweep_interval must be positive")
+            if not least <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= {least}, got {value!r}"
+                )
+        for name in ("message_timeout", "ack_sweep_interval"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {value!r}"
+                )
 
 
 @dataclass

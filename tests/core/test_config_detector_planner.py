@@ -131,6 +131,20 @@ def test_baseline_frozen_while_flagged():
     assert det.baseline_of(2) == pytest.approx(base_before, rel=1e-6)
 
 
+def test_suspect_does_not_refresh_its_own_baseline():
+    # At hysteresis_up=2 the first suspect interval does not flag yet, so
+    # only the "not currently suspect" clause keeps the fault's own
+    # observation out of the worker's healthy reference.
+    det = warmed_detector(hysteresis_up=2)
+    base_before = det.baseline_of(2)
+    bad = dict(HEALTHY)
+    bad[2] = 0.5
+    assert det.update(bad, bad, {}) == set()
+    assert det.baseline_of(2) == base_before
+    # healthy peers still refresh theirs in the same interval
+    assert det.baseline_of(0) == pytest.approx(HEALTHY[0])
+
+
 def test_schmitt_trigger_prevents_flapping():
     det = warmed_detector(hysteresis_up=1, hysteresis_down=1)
     bad = dict(HEALTHY)

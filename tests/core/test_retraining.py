@@ -144,3 +144,37 @@ def test_in_sim_retraining_is_deterministic():
         logs.append(predictor.retrain_log)
     assert summaries[0] == summaries[1]
     assert logs[0] == logs[1]  # RetrainEvents are frozen dataclasses
+
+
+def test_refit_runs_before_the_control_step_at_shared_ticks():
+    # The refit process's timeout at t=30k was scheduled at t=30(k-1), the
+    # control step's at t=30k-5, so the refit sorts first: it trains on the
+    # snapshots ingested up to the previous control step, and the step at
+    # that tick already predicts with the new model.
+    sim, predictor, ctrl = _build_sim(
+        window=6, retrain_interval=30.0,
+        factory=OnlineModelFactory(epochs=2, seed=0),
+    )
+    calls = []
+    refit, step = predictor.maybe_retrain, ctrl._step
+
+    def recorded_refit(monitor, now):
+        calls.append(("refit", now))
+        return refit(monitor, now)
+
+    def recorded_step():
+        calls.append(("step", sim.env.now))
+        step()
+
+    predictor.maybe_retrain = recorded_refit
+    ctrl._step = recorded_step
+    sim.run(duration=95.0)
+    shared = [c for c in calls if c[1] in (30.0, 60.0, 90.0)]
+    assert shared == [
+        ("refit", 30.0), ("step", 30.0),
+        ("refit", 60.0), ("step", 60.0),
+        ("refit", 90.0), ("step", 90.0),
+    ]
+    assert [t for kind, t in calls if kind == "step"] == [
+        5.0 * k for k in range(1, 20)
+    ]

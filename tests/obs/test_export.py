@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.core import ControllerConfig, PerformancePredictor
+from repro.core import ControllerConfig, PerformancePredictor, PredictiveController
 from repro.obs import (
     CONTROL_APPLY,
     CONTROL_DECISION,
@@ -44,10 +44,10 @@ def small_traced_sim(seed=0, controller=False, faults=()):
         .observability(trace=True)
     )
     if controller:
-        builder.controller(
+        builder.controller(PredictiveController(
             PerformancePredictor(None, window=3),
             ControllerConfig(control_interval=5.0, window=3),
-        )
+        ))
     return builder.build()
 
 

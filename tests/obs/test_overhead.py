@@ -11,7 +11,7 @@ machines, so this one uses a generous bound.
 import time
 
 from repro.apps import RateProfile, build_url_count_topology
-from repro.core import ControllerConfig, PerformancePredictor
+from repro.core import ControllerConfig, PerformancePredictor, PredictiveController
 from repro.storm import SimulationBuilder
 
 
@@ -21,10 +21,10 @@ def build_sim(trace: bool, metrics: bool = False, controller: bool = False):
     if trace or metrics:
         builder.observability(trace=trace, metrics=metrics)
     if controller:
-        builder.controller(
+        builder.controller(PredictiveController(
             PerformancePredictor(None, window=3),
             ControllerConfig(control_interval=5.0, window=3),
-        )
+        ))
     return builder.build()
 
 
@@ -64,7 +64,7 @@ def test_disabled_metrics_threads_none_everywhere():
     sim.run(duration=6)  # _bind ran; handles must stay None
     assert ctrl._m_decisions is None
     assert ctrl._m_applies is None
-    assert ctrl._m_step_wall is None
+    assert ctrl._step_wall is None
 
 
 def test_enabled_metrics_threads_one_shared_registry():

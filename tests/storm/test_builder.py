@@ -68,21 +68,6 @@ def test_builder_run_shortcut():
     assert res.acked > 0
 
 
-def test_builder_constructs_and_attaches_controller():
-    sim = (
-        SimulationBuilder(make_topology(dynamic=True, workers=4))
-        .controller(
-            PerformancePredictor(None, window=3),
-            ControllerConfig(control_interval=2.0, window=3),
-        )
-        .build()
-    )
-    assert sim.controller is not None
-    assert sim.controller.attached
-    sim.run(duration=20)
-    assert len(sim.controller.actions) > 0
-
-
 def test_builder_accepts_detached_controller():
     ctrl = PredictiveController(
         PerformancePredictor(None, window=3),
@@ -99,11 +84,13 @@ def test_builder_accepts_detached_controller():
 
 
 def test_builder_rejects_options_with_ready_controller():
+    # one attach form: a built controller, never a predictor plus options
     ctrl = PredictiveController(PerformancePredictor(None, window=3))
+    builder = SimulationBuilder(make_topology(dynamic=True))
     with pytest.raises(TypeError):
-        SimulationBuilder(make_topology(dynamic=True)).controller(
-            ctrl, ControllerConfig()
-        )
+        builder.controller(ctrl, ControllerConfig())
+    with pytest.raises(TypeError, match="PredictiveController"):
+        builder.controller(PerformancePredictor(None, window=3))
 
 
 def test_builder_observability_flags():
