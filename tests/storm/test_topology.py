@@ -165,26 +165,35 @@ def test_config_validation():
         TopologyConfig(executor_queue_capacity=0).validate()
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("service_noise_sigma", -0.1),
-        ("service_noise_sigma", float("nan")),
-        ("service_noise_sigma", float("inf")),
-        ("inter_node_latency", -1e-3),
-        ("inter_node_latency", float("nan")),
-        ("intra_node_latency", -1e-4),
-        ("intra_node_latency", float("inf")),
-        ("intra_worker_latency", -1e-5),
-        ("intra_worker_latency", float("nan")),
-        ("tick_interval", -1.0),
-        ("tick_interval", float("nan")),
-        ("ack_sweep_interval", 0.0),
-        ("ack_sweep_interval", -1.0),
-        ("ack_sweep_interval", float("nan")),
-        ("max_replays", -1),
-    ],
-)
+_REJECTED = [
+    ("service_noise_sigma", -0.1),
+    ("service_noise_sigma", float("nan")),
+    ("service_noise_sigma", float("inf")),
+    ("inter_node_latency", -1e-3),
+    ("inter_node_latency", float("nan")),
+    ("intra_node_latency", -1e-4),
+    ("intra_node_latency", float("inf")),
+    ("intra_worker_latency", -1e-5),
+    ("intra_worker_latency", float("nan")),
+    ("tick_interval", -1.0),
+    ("tick_interval", float("nan")),
+    ("ack_sweep_interval", 0.0),
+    ("ack_sweep_interval", -1.0),
+    ("ack_sweep_interval", float("nan")),
+    ("max_replays", -1),
+]
+# ...and every numeric field rejects NaN, ±inf and -1 (cases above kept)
+_listed = {(name, repr(float(value))) for name, value in _REJECTED}
+_REJECTED += [
+    (name, value)
+    for name, default in vars(TopologyConfig()).items()
+    if type(default) in (int, float)
+    for value in (float("nan"), float("inf"), -float("inf"), -1)
+    if (name, repr(float(value))) not in _listed
+]
+
+
+@pytest.mark.parametrize("field, value", _REJECTED)
 def test_config_rejects_values_that_would_fail_mid_run(field, value):
     with pytest.raises(ValueError, match=field):
         TopologyConfig(**{field: value}).validate()
