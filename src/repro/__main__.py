@@ -566,7 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=3,
                    help="simulations in the campaign")
     p.add_argument("--arm", default="baseline",
-                   choices=("baseline", "reactive", "online", "autoscale"))
+                   choices=("baseline", "reactive", "online", "autoscale"),
+                   help="control arm; autoscale never scales at the pinned "
+                        "campaign (url_count, seed 7, rate 120), where its "
+                        "report equals baseline's")
     p.add_argument("--retrain-interval", type=float, default=30.0,
                    help="online arm: sim-seconds between in-run predictor "
                         "refits (ignored by other arms)")

@@ -16,17 +16,20 @@ Topology::
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.workload import RateProfile, SensorEventGenerator
+from repro.apps.workload import RateProfile, SensorEventGenerator, require_positive
 from repro.storm.api import Bolt, Emission, OutputCollector, Spout, TopologyContext
 from repro.storm.topology import Topology, TopologyBuilder, TopologyConfig
 from repro.storm.tuples import Tuple as StormTuple
 
 _AGGS = ("avg", "min", "max", "count")
 _OPS = (">", "<", ">=", "<=")
+#: one task's partial aggregate: (count, total, minimum, maximum)
+_Partial = Tuple[int, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,9 @@ class ContinuousQuery:
             raise ValueError(f"agg must be one of {_AGGS}, got {self.agg!r}")
         if self.op not in _OPS:
             raise ValueError(f"op must be one of {_OPS}, got {self.op!r}")
-        if self.window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
+        require_positive("window_seconds", self.window_seconds)
+        if math.isnan(self.threshold):
+            raise ValueError("threshold must not be NaN")
 
     def matches(self, sensor_id: str) -> bool:
         return sensor_id.startswith(self.sensor_prefix)
@@ -138,6 +142,11 @@ class QueryBolt(Bolt):
     On each tick it emits, per query, a *partial aggregate* on the
     ``partials`` stream: ``(query_id, count, total, minimum, maximum)`` —
     enough for the results stage to compose exactly.
+
+    Queries that share ``(window_seconds, sensor_prefix)`` select the
+    same readings, so they share one time-ordered window of
+    ``(time, value)`` and the tick aggregates each window once.  Each
+    sensor's windows are looked up on its first reading and cached.
     """
 
     outputs = {
@@ -152,8 +161,7 @@ class QueryBolt(Bolt):
         cpu_cost: Optional[float] = None,
     ) -> None:
         if cpu_cost is not None:
-            if cpu_cost <= 0:
-                raise ValueError("cpu_cost must be positive")
+            require_positive("cpu_cost", cpu_cost)
             self.default_cpu_cost = cpu_cost
         if not queries:
             raise ValueError("need at least one continuous query")
@@ -161,15 +169,43 @@ class QueryBolt(Bolt):
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate query ids in {ids}")
         self.queries = list(queries)
-        self._events: deque = deque()  # (time, sensor_id, value)
+        #: arrival times over the longest window: the resident-window
+        #: size that ``cpu_cost`` charges for
+        self._events: deque = deque()
 
     def prepare(self, context: TopologyContext) -> None:
         self.ctx = context
+        self._longest = max(q.window_seconds for q in self.queries)
+        keys: Dict[Tuple[float, str], int] = {}
+        #: one (representative query, window of (time, value)) per group
+        self._groups: List[Tuple[ContinuousQuery, deque]] = []
+        #: group index of each query, in query order
+        self._group_of: List[int] = []
+        for q in self.queries:
+            key = (q.window_seconds, q.sensor_prefix)
+            if key not in keys:
+                keys[key] = len(self._groups)
+                self._groups.append((q, deque()))
+            self._group_of.append(keys[key])
+        #: sensor_id -> the windows of the groups it matches
+        self._routes: Dict[str, List[deque]] = {}
 
     def execute(self, tup: StormTuple, collector: OutputCollector) -> None:
         now = self.ctx.now()
-        self._events.append((now, tup.value("sensor_id"), tup.value("value")))
-        self._evict(now)
+        sensor = tup.value("sensor_id")
+        windows = self._routes.get(sensor)
+        if windows is None:
+            windows = self._routes[sensor] = [
+                window for q, window in self._groups if q.matches(sensor)
+            ]
+        reading = (now, tup.value("value"))
+        for window in windows:
+            window.append(reading)
+        events = self._events
+        events.append(now)
+        horizon = now - self._longest
+        while events and events[0] < horizon:
+            events.popleft()
 
     def cpu_cost(self, tup: StormTuple) -> float:
         # Per-tuple cost scales with the number of standing queries
@@ -179,29 +215,29 @@ class QueryBolt(Bolt):
         )
 
     def tick(self, now: float, collector: OutputCollector) -> None:
-        self._evict(now)
-        for q in self.queries:
-            cnt = 0
+        events = self._events
+        horizon = now - self._longest
+        while events and events[0] < horizon:
+            events.popleft()
+        partials = []
+        for q, window in self._groups:
+            horizon = now - q.window_seconds
+            while window and window[0][0] < horizon:
+                window.popleft()
+            # A left-to-right sum from 0.0, as the per-query scan summed:
+            # sum() compensates from Python 3.12 and would change the bits.
             total = 0.0
             mn = float("inf")
             mx = float("-inf")
-            horizon = now - q.window_seconds
-            for t, sensor, value in self._events:
-                if t < horizon or not q.matches(sensor):
-                    continue
-                cnt += 1
+            for _, value in window:
                 total += value
-                mn = min(mn, value)
-                mx = max(mx, value)
-            collector.emit(
-                (q.query_id, cnt, total, mn, mx), stream="partials"
-            )
-
-    def _evict(self, now: float) -> None:
-        # Evict against the longest query window.
-        horizon = now - max(q.window_seconds for q in self.queries)
-        while self._events and self._events[0][0] < horizon:
-            self._events.popleft()
+                if value < mn:
+                    mn = value
+                if value > mx:
+                    mx = value
+            partials.append((len(window), total, mn, mx))
+        for q, group in zip(self.queries, self._group_of):
+            collector.emit((q.query_id, *partials[group]), stream="partials")
 
 
 class ResultBolt(Bolt):
@@ -212,8 +248,10 @@ class ResultBolt(Bolt):
 
     def __init__(self, queries: Sequence[ContinuousQuery]) -> None:
         self.queries = {q.query_id: q for q in queries}
-        #: (query_id, source_task) -> latest partial
-        self._partials: Dict[Tuple[str, int], Tuple[int, float, float, float]] = {}
+        #: query_id -> {source_task: latest partial}
+        self._partials: Dict[str, Dict[int, _Partial]] = {
+            qid: {} for qid in self.queries
+        }
         #: query_id -> latest composed value (NaN until first data)
         self.current: Dict[str, float] = {}
         #: query_id -> current match state
@@ -223,7 +261,7 @@ class ResultBolt(Bolt):
 
     def execute(self, tup: StormTuple, collector: OutputCollector) -> None:
         qid = tup.value("query_id")
-        self._partials[(qid, tup.source_task)] = (
+        self._partials[qid][tup.source_task] = (
             tup.value("count"),
             tup.value("total"),
             tup.value("minimum"),
@@ -237,8 +275,8 @@ class ResultBolt(Bolt):
         total = 0.0
         mn = float("inf")
         mx = float("-inf")
-        for (q, _task), (c, s, lo, hi) in self._partials.items():
-            if q != qid or c == 0:
+        for c, s, lo, hi in self._partials[qid].values():
+            if c == 0:
                 continue
             cnt += c
             total += s

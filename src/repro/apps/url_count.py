@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import List, Optional, Tuple
 
-from repro.apps.workload import RateProfile, ZipfUrlGenerator
+from repro.apps.workload import RateProfile, ZipfUrlGenerator, require_positive
 from repro.storm.api import Bolt, Emission, OutputCollector, Spout, TopologyContext
 from repro.storm.topology import Topology, TopologyBuilder, TopologyConfig
 from repro.storm.tuples import Tuple as StormTuple
@@ -95,13 +95,11 @@ class WindowedCountBolt(Bolt):
         emit_top: int = 20,
         cpu_cost: Optional[float] = None,
     ) -> None:
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
+        require_positive("window_seconds", window_seconds)
         self.window_seconds = window_seconds
         self.emit_top = emit_top
         if cpu_cost is not None:
-            if cpu_cost <= 0:
-                raise ValueError("cpu_cost must be positive")
+            require_positive("cpu_cost", cpu_cost)
             self.default_cpu_cost = cpu_cost
         self._events: deque = deque()
         self._counts: Counter = Counter()

@@ -23,6 +23,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 
+def require_positive(name: str, value: float) -> None:
+    """Reject a NaN, infinite or non-positive ``value`` of field ``name``."""
+    if not math.isfinite(value) or not value > 0:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass
 class RateProfile:
     """Composable arrival-rate function ``rate(t)`` in tuples/second.

@@ -4,7 +4,8 @@ A NaN compares False against everything, so a validator written as
 ``if x <= 0: raise`` lets it through and the run misbehaves silently
 (``threshold_factor=nan`` never flags a worker).  Each table below feeds
 every numeric field of one config the four values, which are invalid for
-all of them, and expects a ``ValueError`` naming the field.
+all of them, and expects a ``ValueError`` naming the field.  The apps'
+window and cost knobs get the same treatment in one last table.
 """
 
 import dataclasses
@@ -12,6 +13,8 @@ import math
 
 import pytest
 
+from repro.apps.continuous_query import ContinuousQuery, QueryBolt
+from repro.apps.url_count import WindowedCountBolt
 from repro.core import ControllerConfig
 from repro.core.elasticity import AutoscalePolicy, RateControlConfig
 
@@ -54,3 +57,35 @@ def test_tables_cover_every_numeric_field():
 @pytest.mark.parametrize("cls", [ControllerConfig, AutoscalePolicy, RateControlConfig])
 def test_defaults_pass(cls):
     cls().validate()
+
+
+#: "Component.field" -> (build with the field set to a value, bad values).
+#: A NaN window would also split QueryBolt's shared windows, since
+#: NaN != NaN as a dict key.  A threshold may be infinite, never NaN.
+APP_FIELDS = {
+    "ContinuousQuery.window_seconds": (
+        lambda v: ContinuousQuery("q", window_seconds=v), BAD + (0,)
+    ),
+    "ContinuousQuery.threshold": (
+        lambda v: ContinuousQuery("q", threshold=v), (math.nan,)
+    ),
+    "QueryBolt.cpu_cost": (
+        lambda v: QueryBolt([ContinuousQuery("q")], cpu_cost=v), BAD + (0,)
+    ),
+    "WindowedCountBolt.window_seconds": (
+        lambda v: WindowedCountBolt(window_seconds=v), BAD + (0,)
+    ),
+    "WindowedCountBolt.cpu_cost": (
+        lambda v: WindowedCountBolt(cpu_cost=v), BAD + (0,)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "target, value",
+    [(target, v) for target, (_, bad) in APP_FIELDS.items() for v in bad],
+)
+def test_app_components_reject(target, value):
+    build, _ = APP_FIELDS[target]
+    with pytest.raises(ValueError, match=target.split(".")[1]):
+        build(value)
